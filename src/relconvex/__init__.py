@@ -33,7 +33,6 @@ from .boolsub import (
 )
 from .closure import FiniteGround, collinear_ground
 from .embedding import (
-    base_simplex,
     build_construction,
     build_embedding,
     build_ground_set,

@@ -8,7 +8,6 @@ instances.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -29,9 +28,7 @@ from .geometry import (
     Point,
     Segment,
     VPolytope,
-    affine_coordinates,
-    affinely_independent,
-    caratheodory_member,
+    caratheodory_witness,
     hull_member,
     qp,
     standard_simplex,
@@ -275,34 +272,24 @@ def criterion_8_face_restriction_suite() -> tuple[bool, str]:
     return True, f"{checked} restriction instances, {homs} homomorphism grounds"
 
 
-def _iterative_witness_valid(q: Point, pts: list[Point]) -> bool:
-    """Certify membership by the two-step segment construction: find an
-    affinely independent containing subset, split it into two pairs, and
-    check q ∈ [x, y] with x, y on the generator segments, exactly."""
-    uniq = sorted(set(pts))
+def _two_step_witness_valid(q: Point, subset, coords) -> bool:
+    """Certify a Carathéodory witness by the two-step segment construction:
+    split the containing subset into two halves, blend each half to a point
+    x, y on its generator segment, and check q = m1 x + m2 y exactly."""
     dim = len(q)
-    for size in range(1, dim + 2):
-        for subset in itertools.combinations(uniq, size):
-            if not affinely_independent(subset):
-                continue
-            coords = affine_coordinates(q, subset)
-            if coords is None or any(c < 0 for c in coords):
-                continue
-            half = (len(subset) + 1) // 2
-            m1 = sum(coords[:half])
-            m2 = sum(coords[half:])
-            def blend(ws, ps):
-                tot = sum(ws)
-                return tuple(sum(w * p[k] for w, p in zip(ws, ps)) / tot
-                             for k in range(dim))
-            if m1 == 0 or m2 == 0:
-                return True     # a single pair (or point) suffices
-            x = blend(coords[:half], subset[:half])
-            y = blend(coords[half:], subset[half:])
-            recombined = tuple(m1 * xv + m2 * yv for xv, yv in zip(x, y))
-            if recombined == q:
-                return True
-    return False
+    half = (len(subset) + 1) // 2
+    m1 = sum(coords[:half])
+    m2 = sum(coords[half:])
+    if m1 == 0 or m2 == 0:
+        return True     # a single pair (or point) suffices
+
+    def blend(ws, ps):
+        tot = sum(ws)
+        return tuple(sum(w * p[k] for w, p in zip(ws, ps)) / tot for k in range(dim))
+
+    x = blend(coords[:half], subset[:half])
+    y = blend(coords[half:], subset[half:])
+    return tuple(m1 * xv + m2 * yv for xv, yv in zip(x, y)) == q
 
 
 def criterion_9_oracle_equivalence() -> tuple[bool, str]:
@@ -325,11 +312,10 @@ def criterion_9_oracle_equivalence() -> tuple[bool, str]:
         else:
             q = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2))
                       for _ in range(dim))
-        lp_ans = hull_member(q, pts)
-        oracle = caratheodory_member(q, pts)
-        if lp_ans != oracle:
+        witness = caratheodory_witness(q, pts)
+        if hull_member(q, pts) != (witness is not None):
             return False, f"membership mismatch at instance {idx}"
-        if lp_ans and not _iterative_witness_valid(q, pts):
+        if witness is not None and not _two_step_witness_valid(q, *witness):
             return False, f"no two-step witness at instance {idx}"
     return True, "30 enumerations and 100 membership instances agree"
 

@@ -273,24 +273,36 @@ class LatticeMap:
                 raise InputError("image index outside target lattice")
 
 
+def map_defects(f: LatticeMap) -> dict[str, Optional[Witness]]:
+    """First witness against each embedding property, checked on all pairs.
+
+    Keys, in the order ``verify_embedding`` reports them: "not-injective",
+    "join-not-preserved", "meet-not-preserved"; a value is None when the
+    property holds.
+    """
+    defects: dict[str, Optional[Witness]] = {}
+    seen: dict[int, int] = {}
+    for i, t in enumerate(f.image):
+        if t in seen:
+            defects["not-injective"] = Witness(EMBEDDING_DEFECT, [seen[t], i],
+                                               {"reason": "not-injective"})
+            break
+        seen[t] = i
+    else:
+        defects["not-injective"] = None
+    img = np.array(f.image, dtype=np.int32)
+    for reason, src, tgt in (
+            ("join-not-preserved", f.source.join_table, f.target.join_table),
+            ("meet-not-preserved", f.source.meet_table, f.target.meet_table)):
+        ok = img[src] == tgt[img[:, None], img[None, :]]
+        defects[reason] = None
+        if not ok.all():
+            a, b = map(int, np.argwhere(~ok)[0])
+            defects[reason] = Witness(EMBEDDING_DEFECT, [a, b], {"reason": reason})
+    return defects
+
+
 def verify_embedding(f: LatticeMap) -> tuple[bool, Optional[Witness]]:
     """Injective + join-preserving + meet-preserving, checked on all pairs."""
-    img = np.array(f.image, dtype=np.int32)
-    if len(set(f.image)) != len(f.image):
-        seen: dict[int, int] = {}
-        for i, t in enumerate(f.image):
-            if t in seen:
-                return False, Witness(EMBEDDING_DEFECT, [seen[t], i],
-                                      {"reason": "not-injective"})
-            seen[t] = i
-    Js, Ms = f.source.join_table, f.source.meet_table
-    Jt, Mt = f.target.join_table, f.target.meet_table
-    join_ok = img[Js] == Jt[img[:, None], img[None, :]]
-    if not join_ok.all():
-        a, b = map(int, np.argwhere(~join_ok)[0])
-        return False, Witness(EMBEDDING_DEFECT, [a, b], {"reason": "join-not-preserved"})
-    meet_ok = img[Ms] == Mt[img[:, None], img[None, :]]
-    if not meet_ok.all():
-        a, b = map(int, np.argwhere(~meet_ok)[0])
-        return False, Witness(EMBEDDING_DEFECT, [a, b], {"reason": "meet-not-preserved"})
-    return True, None
+    witness = next(filter(None, map_defects(f).values()), None)
+    return witness is None, witness

@@ -54,16 +54,6 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, name: str, payload: dict):
-    text = rio.dumps(payload)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _write(args, name: str, text: str):
     if args.out_dir:
         out = Path(args.out_dir)
@@ -101,7 +91,8 @@ def cmd_build(args) -> int:
         rows.append("")
         _write(args, "lattice.csv", "\n".join(rows))
     else:
-        _emit(args, "lattice.json", rio.lattice_to_json(lat, include_tables=args.tables))
+        doc = rio.lattice_to_json(lat, include_tables=args.tables)
+        _write(args, "lattice.json", rio.dumps(doc))
     return EXIT_OK
 
 
@@ -134,7 +125,8 @@ def cmd_check(args) -> int:
         else:  # m3: "found" counts as the violation
             witness = find_m3(lat)
             ok = witness is None
-    _emit(args, f"check_{args.property}.json", _report(args, args.property, ok, witness))
+    _write(args, f"check_{args.property}.json",
+           rio.dumps(_report(args, args.property, ok, witness)))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -142,7 +134,7 @@ def cmd_embed(args) -> int:
     w = build_embedding(args.n, allow_large=args.allow_large)
     ground_doc = rio.ground_to_json(w.ground)
     ground_doc["labels"] = [str(lab) for lab in w.labels]
-    _emit(args, f"embed_ground_n{args.n}.json", ground_doc)
+    _write(args, f"embed_ground_n{args.n}.json", rio.dumps(ground_doc))
     construction = {
         "schema_version": rio.SCHEMA_VERSION,
         "type": "construction",
@@ -158,12 +150,12 @@ def cmd_embed(args) -> int:
         },
         "center": rio.point_to_json(w.construction.center),
     }
-    _emit(args, f"embed_construction_n{args.n}.json", construction)
+    _write(args, f"embed_construction_n{args.n}.json", rio.dumps(construction))
     report = dict(w.report)
     if w.defect is not None:
         report["defect"] = w.defect.to_json()
-    _emit(args, f"embed_report_n{args.n}.json",
-          _report(args, "embedding", w.verified, extra={"report": report}))
+    _write(args, f"embed_report_n{args.n}.json",
+           rio.dumps(_report(args, "embedding", w.verified, extra={"report": report})))
     if args.format == "dot":
         _write(args, f"embed_target_n{args.n}.dot", rio.lattice_to_dot(w.target))
     if args.format == "svg":
@@ -178,18 +170,18 @@ def cmd_segments(args) -> int:
     ground = rio.segment_ground_from_json(_load_json(args.input))
     if args.operation == "check-i":
         ok, pair = check_condition_disjoint(ground)
-        _emit(args, "segments_check_i.json",
-              _report(args, "condition-disjoint-closures", ok,
-                      None if ok else {"kind": "overlapping-pair", "elements": list(pair)}))
+        report = _report(args, "condition-disjoint-closures", ok,
+                         None if ok else {"kind": "overlapping-pair", "elements": list(pair)})
+        _write(args, "segments_check_i.json", rio.dumps(report))
         return EXIT_OK if ok else EXIT_VIOLATION
     if args.operation == "check-ii":
         if not args.polytope:
             raise InputError("check-ii needs --polytope")
         poly = rio.polytope_from_json(_load_json(args.polytope))
         ok, bad = check_condition_faces(ground, poly)
-        _emit(args, "segments_check_ii.json",
-              _report(args, "condition-segments-in-faces", ok,
-                      None if ok else {"kind": "segment-off-faces", "elements": [bad]}))
+        report = _report(args, "condition-segments-in-faces", ok,
+                         None if ok else {"kind": "segment-off-faces", "elements": [bad]})
+        _write(args, "segments_check_ii.json", rio.dumps(report))
         return EXIT_OK if ok else EXIT_VIOLATION
     if args.operation == "closure":
         if not args.set:
@@ -197,11 +189,11 @@ def cmd_segments(args) -> int:
         doc = _load_json(args.set)
         y = rio.subsegment_set_from_json(ground, doc["pieces"])
         closed = seg_closure(y)
-        _emit(args, "segments_closure.json", {
+        _write(args, "segments_closure.json", rio.dumps({
             "schema_version": rio.SCHEMA_VERSION,
             "type": "subsegment-set",
             "pieces": rio.subsegment_set_to_json(closed),
-        })
+        }))
         return EXIT_OK
     # sdv
     triples = None
@@ -216,9 +208,9 @@ def cmd_segments(args) -> int:
         witness = {"kind": "sdv-violation",
                    "a_join_b": rio.subsegment_set_to_json(info["a_join_b"]),
                    "a_join_meet": rio.subsegment_set_to_json(info["a_join_meet"])}
-    _emit(args, "segments_sdv.json",
-          _report(args, "segment-semidistributivity", ok, witness,
-                  extra={"triples": len(triples) if triples else args.count}))
+    report = _report(args, "segment-semidistributivity", ok, witness,
+                     extra={"triples": len(triples) if triples else args.count})
+    _write(args, "segments_sdv.json", rio.dumps(report))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -237,7 +229,7 @@ def cmd_verify_paper(args) -> int:
         ],
     }
     if args.out_dir:
-        _emit(args, "verify_paper.json", payload)
+        _write(args, "verify_paper.json", rio.dumps(payload))
     return EXIT_OK if payload["result"] else EXIT_VIOLATION
 
 
@@ -255,8 +247,6 @@ def _add_common(parser, suppress: bool):
                         help="include elapsed times in reports")
     parser.add_argument("--max-ground", type=int, default=dflt(20),
                         help="enumeration bound for grounds")
-    parser.add_argument("--workers", type=int, default=dflt(1),
-                        help="reserved; all checks currently run sequentially")
 
 
 def build_parser() -> argparse.ArgumentParser:

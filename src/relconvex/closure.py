@@ -87,9 +87,6 @@ class FiniteGround:
         out = self.closure_mask(mask)
         return frozenset(i for i in range(self.n) if out >> i & 1)
 
-    def is_closed(self, mask: int) -> bool:
-        return self.closure_mask(mask) == mask
-
     # -- enumeration --------------------------------------------------------
 
     def _next_closed(self, mask: int) -> Optional[int]:

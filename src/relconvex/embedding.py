@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import linalg
-from .analysis import LatticeMap, Witness, check_lower_bounded, verify_embedding
+from .analysis import LatticeMap, Witness, check_lower_bounded, map_defects
 from .boolsub import OpenFaceSet, full_mask, iter_meet_subsemilattices, subm_lattice
 from .closure import FiniteGround
 from .errors import ConstructionError, InputError, ResourceLimitError
@@ -33,7 +31,6 @@ from .geometry import (
     MixedGenerators,
     Point,
     VPolytope,
-    affine_coordinates,
     centroid,
     hull_member,
     interpolate,
@@ -44,11 +41,6 @@ from .geometry import (
 from .lattice import FiniteLattice
 
 EPSILON_SEARCH_BUDGET = 64
-
-
-def base_simplex(n: int) -> VPolytope:
-    """The rational standard simplex: origin plus the n unit points."""
-    return standard_simplex(n)
 
 
 def shrink(poly: VPolytope, ratio: Fraction) -> VPolytope:
@@ -489,17 +481,18 @@ def build_embedding(n: int, *, allow_large: bool = False,
     lemma_report = verify_lemmas(ctor)
 
     full = full_mask(n)
-    families = [f for f in iter_meet_subsemilattices(n) if full in f]
+    all_families = list(iter_meet_subsemilattices(n))
+    families = [f for f in all_families if full in f]
     source = subm_lattice(n, families=families)
     target = ground.lattice(max_ground=max(20, ground.n))
 
     base = ctor.base
+    support_of = OpenFaceSet(base, frozenset()).piece_support
     supports = []
     audit_ok = True
     for x in ground.points:
-        coords = affine_coordinates(x, base.vertices)
-        assert coords is not None and all(c >= 0 for c in coords)
-        s = sum(1 << i for i, c in enumerate(coords) if c > 0)
+        s = support_of(x)
+        assert s is not None
         supports.append(s)
         for piece in range(1, full + 1):
             gens = OpenFaceSet(base, frozenset({piece})).as_generators()
@@ -524,17 +517,11 @@ def build_embedding(n: int, *, allow_large: bool = False,
             image.append(idx)
 
     lmap = LatticeMap(source, target, image)
-    emb_ok, emb_witness = verify_embedding(lmap)
+    defects = map_defects(lmap)
+    emb_witness = next(filter(None, defects.values()), None)
     lb_ok, lb_witness = check_lower_bounded(target)
     source_lb_ok, _ = check_lower_bounded(source)
-    defect = image_defect or (None if emb_ok else emb_witness) or (None if lb_ok else lb_witness)
-
-    img = np.array(image, dtype=np.int32)
-    injective = len(set(image)) == len(image)
-    meet_ok = bool((img[source.meet_table]
-                    == target.meet_table[img[:, None], img[None, :]]).all())
-    join_ok = bool((img[source.join_table]
-                    == target.join_table[img[:, None], img[None, :]]).all())
+    defect = image_defect or emb_witness or lb_witness
 
     report = {
         "n": n,
@@ -543,14 +530,14 @@ def build_embedding(n: int, *, allow_large: bool = False,
         "lemmas_ok": lemma_report.ok,
         "lemma_summary": lemma_report.summary(),
         "piece_audit_ok": audit_ok,
-        "families_total": sum(1 for _ in iter_meet_subsemilattices(n)),
+        "families_total": len(all_families),
         "families_top": len(families),
         "source_size": source.n,
         "target_size": target.n,
-        "injective": injective,
-        "meet_preserving": meet_ok,
-        "join_preserving": join_ok,
-        "embedding_verified": emb_ok,
+        "injective": defects["not-injective"] is None,
+        "meet_preserving": defects["meet-not-preserved"] is None,
+        "join_preserving": defects["join-not-preserved"] is None,
+        "embedding_verified": emb_witness is None,
         "lower_bounded": lb_ok,
         "source_lower_bounded": source_lb_ok,
         "image_closed": image_defect is None,

@@ -170,14 +170,15 @@ def affine_span_dim(pts: Sequence[Point]) -> int:
     return linalg.rank(diffs)
 
 
-def caratheodory_member(q: Point, pts: Sequence[Point]) -> bool:
+def caratheodory_witness(q: Point, pts: Sequence[Point]):
     """Hull membership by brute force over affinely independent subsets.
 
     Independent of the LP route: enumerates candidate simplices of at most
-    dim+1 generators and solves barycentric coordinates directly.
+    dim+1 generators and solves barycentric coordinates directly.  Returns
+    the first containing (subset, coords), or None.
     """
     if not pts:
-        return False
+        return None
     dim = _check_dim(pts)
     if len(q) != dim:
         raise DimensionMismatch("query point dimension mismatch")
@@ -188,8 +189,12 @@ def caratheodory_member(q: Point, pts: Sequence[Point]) -> bool:
                 continue
             coords = affine_coordinates(q, subset)
             if coords is not None and all(c >= 0 for c in coords):
-                return True
-    return False
+                return subset, coords
+    return None
+
+
+def caratheodory_member(q: Point, pts: Sequence[Point]) -> bool:
+    return caratheodory_witness(q, pts) is not None
 
 
 def extreme_points(pts: Sequence[Point]) -> list[Point]:
@@ -210,14 +215,15 @@ def extreme_points(pts: Sequence[Point]) -> list[Point]:
 # ---------------------------------------------------------------------------
 # strict membership
 
-def _atom_groups(gens: MixedGenerators):
-    """Split generators into atom lists [(point, strict_flag), ...].
+def _supports(gens: MixedGenerators):
+    """Atom groups [[(point, strict_flag), ...], ...] of every candidate
+    support, smallest supports first.
 
     For segments the coefficient of one endpoint must be positive exactly
     when the opposite endpoint is open (mass cannot sit entirely on an
     excluded end).  For a relative interior all coefficients are strict.
-    Returns (always_on, optional) where optional groups carry at least one
-    strict atom and participate in support enumeration.
+    Groups without a strict atom are in every support; the others are
+    enumerated by subset.
     """
     always = []
     optional = []
@@ -234,40 +240,62 @@ def _atom_groups(gens: MixedGenerators):
             always.append([(verts[0], False)])
         else:
             optional.append([(v, True) for v in verts])
-    return always, optional
+    for r in range(len(optional) + 1):
+        for chosen in itertools.combinations(optional, r):
+            if always or chosen:
+                yield always + list(chosen)
 
 
-def _strict_combo_feasible(q: Point, groups) -> bool:
-    """Is q a unit-mass combination of the given atoms with every
-    strict-flagged coefficient positive?  One shared slack, maximized."""
+def _combo_lp(groups, target: Union[Point, Segment], mode: str):
+    """The strict LP over unit-mass combinations sum(gamma_a * a) of the atoms.
+
+    ``target`` is a fixed point q, or a segment whose point seg.at(tau) is
+    matched with tau in [0, 1] free.  Mode 'strict' maximizes one slack
+    shared by every strict-flagged coefficient and returns whether the
+    target is a combination with all of them positive (plain feasibility
+    when no atom is strict).  Mode 'min' / 'max' optimizes tau over the
+    closed relaxation and returns the optimum, or None when infeasible.
+    """
     atoms = [a for g in groups for a in g]
-    if not atoms:
-        return False
-    dim = len(q)
-    strict_idx = [i for i, (_, strict) in enumerate(atoms) if strict]
     nγ = len(atoms)
-    if not strict_idx:
-        A = [[atoms[j][0][k] for j in range(nγ)] for k in range(dim)]
-        A.append([Fraction(1)] * nγ)
-        return lp.feasible(A, list(q) + [Fraction(1)])
-    # columns: gamma..., s, surplus...
-    ncols = nγ + 1 + len(strict_idx)
+    seg = target if isinstance(target, Segment) else None
+    strict_idx = [j for j, (_, s) in enumerate(atoms) if s] if mode == "strict" else []
+    # columns: gammas, [tau, tau_cap_slack], [s, surpluses]
+    tau_col = nγ
+    s_col = nγ + (2 if seg else 0)
+    ncols = s_col + (1 + len(strict_idx) if strict_idx else 0)
+    origin = seg.a if seg else target
     rows = []
-    for k in range(dim):
-        rows.append([atoms[j][0][k] for j in range(nγ)] + [Fraction(0)] * (1 + len(strict_idx)))
-    rows.append([Fraction(1)] * nγ + [Fraction(0)] * (1 + len(strict_idx)))
-    rhs = list(q) + [Fraction(1)]
+    rhs = []
+    for k in range(len(origin)):
+        row = [p[k] for p, _ in atoms] + [Fraction(0)] * (ncols - nγ)
+        if seg:
+            row[tau_col] = seg.a[k] - seg.b[k]
+        rows.append(row)
+        rhs.append(origin[k])
+    rows.append([Fraction(1)] * nγ + [Fraction(0)] * (ncols - nγ))
+    rhs.append(Fraction(1))
+    if seg:
+        row = [Fraction(0)] * ncols
+        row[tau_col] = row[tau_col + 1] = Fraction(1)
+        rows.append(row)
+        rhs.append(Fraction(1))
     for t, j in enumerate(strict_idx):
         row = [Fraction(0)] * ncols
         row[j] = Fraction(1)
-        row[nγ] = Fraction(-1)
-        row[nγ + 1 + t] = Fraction(-1)
+        row[s_col] = Fraction(-1)
+        row[s_col + 1 + t] = Fraction(-1)
         rows.append(row)
         rhs.append(Fraction(0))
     c = [Fraction(0)] * ncols
-    c[nγ] = Fraction(1)
+    if strict_idx:
+        c[s_col] = Fraction(1)
+    elif mode != "strict":
+        c[tau_col] = Fraction(1) if mode == "max" else Fraction(-1)
     res = lp.maximize(rows, rhs, c)
-    return res.status == lp.OPTIMAL and res.objective > 0
+    if mode == "strict":
+        return res.status == lp.OPTIMAL and (not strict_idx or res.objective > 0)
+    return res.x[tau_col] if res.status == lp.OPTIMAL else None
 
 
 def strict_hull_member(q: Point, gens: MixedGenerators) -> bool:
@@ -281,14 +309,7 @@ def strict_hull_member(q: Point, gens: MixedGenerators) -> bool:
     """
     if len(q) != gens.dim:
         raise DimensionMismatch("query point dimension mismatch")
-    always, optional = _atom_groups(gens)
-    for r in range(len(optional) + 1):
-        for chosen in itertools.combinations(optional, r):
-            if not always and not chosen:
-                continue
-            if _strict_combo_feasible(q, always + list(chosen)):
-                return True
-    return False
+    return any(_combo_lp(groups, q, "strict") for groups in _supports(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -417,121 +438,8 @@ class Face:
         return hull_member(q, self.vertices)
 
 
-def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
-    """LP certificate that a vertex subset is a face: a linear functional
-    that is constant on the subset and strictly smaller elsewhere."""
-    verts = poly.vertices
-    inside = sorted(indices)
-    outside = [i for i in range(len(verts)) if i not in indices]
-    if not inside:
-        return False
-    if not outside:
-        return True
-    n = poly.dim_ambient
-    # columns: w+ (n), w- (n), t+, t-, s, surplus per outside vertex, cap slack
-    ncols = 2 * n + 2 + 1 + len(outside) + 1
-    rows = []
-    rhs = []
-
-    def functional_cols(p: Point, sign: int):
-        row = [Fraction(0)] * ncols
-        for k in range(n):
-            row[k] = Fraction(sign) * p[k]
-            row[n + k] = Fraction(-sign) * p[k]
-        row[2 * n] = Fraction(-sign)
-        row[2 * n + 1] = Fraction(sign)
-        return row
-
-    for i in inside:
-        rows.append(functional_cols(verts[i], 1))
-        rhs.append(Fraction(0))
-    for t, i in enumerate(outside):
-        row = functional_cols(verts[i], -1)
-        row[2 * n + 2] = Fraction(-1)
-        row[2 * n + 2 + 1 + t] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    cap = [Fraction(0)] * ncols
-    cap[2 * n + 2] = Fraction(1)
-    cap[-1] = Fraction(1)
-    rows.append(cap)
-    rhs.append(Fraction(1))
-    c = [Fraction(0)] * ncols
-    c[2 * n + 2] = Fraction(1)
-    res = lp.maximize(rows, rhs, c)
-    return res.status == lp.OPTIMAL and res.objective > 0
-
-
 # ---------------------------------------------------------------------------
 # segment ∩ hull
-
-
-def _parametric_lp(seg: Segment, groups, mode: str, tau_fixed: Optional[Fraction] = None):
-    """LP over combinations x(tau) = sum(gamma_a * a) with tau in [0, 1].
-
-    mode 'strict': maximize shared slack (returns optimum, 0 when infeasible);
-    mode 'min' / 'max': optimize tau over the closed relaxation (returns the
-    optimum or None when infeasible).
-    """
-    atoms = [a for g in groups for a in g]
-    if not atoms:
-        return Fraction(0) if mode == "strict" else None
-    dim = seg.dim
-    strict_idx = [i for i, (_, s) in enumerate(atoms) if s] if mode == "strict" else []
-    nγ = len(atoms)
-    with_tau = tau_fixed is None
-    # columns: gammas, [tau, tau_cap_slack], [s, surpluses]
-    ncols = nγ + (2 if with_tau else 0) + (1 + len(strict_idx) if strict_idx else 0)
-    tau_col = nγ
-    s_col = nγ + (2 if with_tau else 0)
-    rows = []
-    rhs = []
-    direction = sub(seg.b, seg.a)
-    for k in range(dim):
-        row = [Fraction(0)] * ncols
-        for j, (p, _) in enumerate(atoms):
-            row[j] = p[k]
-        if with_tau:
-            row[tau_col] = -direction[k]
-            rows.append(row)
-            rhs.append(seg.a[k])
-        else:
-            rows.append(row)
-            rhs.append(seg.a[k] + tau_fixed * direction[k])
-    row = [Fraction(0)] * ncols
-    for j in range(nγ):
-        row[j] = Fraction(1)
-    rows.append(row)
-    rhs.append(Fraction(1))
-    if with_tau:
-        row = [Fraction(0)] * ncols
-        row[tau_col] = Fraction(1)
-        row[tau_col + 1] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for t, j in enumerate(strict_idx):
-        row = [Fraction(0)] * ncols
-        row[j] = Fraction(1)
-        row[s_col] = Fraction(-1)
-        row[s_col + 1 + t] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    c = [Fraction(0)] * ncols
-    if mode == "strict":
-        if strict_idx:
-            c[s_col] = Fraction(1)
-        res = lp.maximize(rows, rhs, c)
-        if res.status != lp.OPTIMAL:
-            return Fraction(0)
-        if not strict_idx:
-            return Fraction(1)  # plain feasibility counts as strictly ok
-        return res.objective
-    assert with_tau
-    c[tau_col] = Fraction(1) if mode == "max" else Fraction(-1)
-    res = lp.maximize(rows, rhs, c)
-    if res.status != lp.OPTIMAL:
-        return None
-    return res.x[tau_col]
 
 
 def segment_hull_param_intervals(seg: Segment, gens: MixedGenerators) -> tuple[Interval, ...]:
@@ -542,32 +450,26 @@ def segment_hull_param_intervals(seg: Segment, gens: MixedGenerators) -> tuple[I
     """
     if seg.dim != gens.dim:
         raise DimensionMismatch("segment and generators of different dimension")
-    always, optional = _atom_groups(gens)
     pieces: list[Interval] = []
-    for r in range(len(optional) + 1):
-        for chosen in itertools.combinations(optional, r):
-            groups = always + list(chosen)
-            if not groups:
-                continue
-            has_strict = any(s for g in groups for _, s in g)
-            if has_strict:
-                if _parametric_lp(seg, groups, "strict") <= 0:
-                    continue
-            lo = _parametric_lp(seg, groups, "min")
-            if lo is None:
-                continue
-            hi = _parametric_lp(seg, groups, "max")
-            assert hi is not None
-            if has_strict:
-                lo_in = _parametric_lp(seg, groups, "strict", tau_fixed=lo) > 0
-                hi_in = lo_in if hi == lo else _parametric_lp(seg, groups, "strict", tau_fixed=hi) > 0
-            else:
-                lo_in = hi_in = True
-            if lo == hi:
-                if lo_in:
-                    pieces.append(Interval.point(lo))
-            else:
-                pieces.append(Interval(lo, hi, lo_in, hi_in))
+    for groups in _supports(gens):
+        has_strict = any(s for g in groups for _, s in g)
+        if has_strict and not _combo_lp(groups, seg, "strict"):
+            continue
+        lo = _combo_lp(groups, seg, "min")
+        if lo is None:
+            continue
+        hi = _combo_lp(groups, seg, "max")
+        assert hi is not None
+        if has_strict:
+            lo_in = _combo_lp(groups, seg.at(lo), "strict")
+            hi_in = lo_in if hi == lo else _combo_lp(groups, seg.at(hi), "strict")
+        else:
+            lo_in = hi_in = True
+        if lo == hi:
+            if lo_in:
+                pieces.append(Interval.point(lo))
+        else:
+            pieces.append(Interval(lo, hi, lo_in, hi_in))
     merged = union_intervals(pieces)
     out = []
     dom = seg.domain()

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -22,9 +24,9 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("empty interval: lo > hi")
+            raise InputError("empty interval: lo > hi")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("degenerate interval must be closed on both ends")
+            raise InputError("degenerate interval must be closed on both ends")
 
     @staticmethod
     def point(v: Fraction) -> "Interval":

@@ -28,7 +28,10 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def str_to_rat(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputError(f"malformed rational {s!r}: {exc}") from exc
 
 
 def point_to_json(p: Point) -> list[str]:

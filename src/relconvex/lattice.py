@@ -13,7 +13,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 
 class NotALatticeError(InputError):
@@ -49,6 +49,9 @@ class FiniteLattice:
         order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
         if len(set(order)) != len(order):
             raise InputError("duplicate closed sets")
+        if order and max(order).bit_length() > 63:
+            raise ResourceLimitError("closed-set masks over more than 63 points "
+                                     "do not fit the int64 lattice tables")
         E = np.array(order, dtype=np.int64)
         L = len(order)
         leq = (E[None, :] & E[:, None]) == E[:, None]
@@ -68,10 +71,6 @@ class FiniteLattice:
                 raise NotALatticeError("intersection of closed sets not closed")
             meet[i] = val_order[pos]
         return cls(order, leq, _join=join, _meet=meet, ground=ground)
-
-    @classmethod
-    def from_leq(cls, labels: Sequence[Hashable], leq: np.ndarray) -> "FiniteLattice":
-        return cls(labels, leq)
 
     @classmethod
     def from_cover_pairs(cls, labels: Sequence[Hashable], covers: Sequence[tuple]) -> "FiniteLattice":

@@ -17,11 +17,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Sequence
 
 from . import linalg
+from .analysis import LatticeMap, map_defects
 from .closure import FiniteGround
 from .errors import DimensionMismatch, InputError
 from .geometry import (
@@ -188,13 +187,6 @@ class SubsegmentSet:
     def whole(cls, ground: SegmentUnionGround) -> "SubsegmentSet":
         return cls(ground, [[ground.segments[i].domain()] for i in range(ground.k)])
 
-    @classmethod
-    def from_carrier_interval(cls, ground: SegmentUnionGround, carrier: int,
-                              iv: Interval) -> "SubsegmentSet":
-        pieces = [[] for _ in range(ground.k)]
-        pieces[carrier] = [iv]
-        return cls(ground, pieces)
-
     # -- structure -------------------------------------------------------------
 
     @property
@@ -235,13 +227,6 @@ class SubsegmentSet:
         if not pts and not segs:
             return None
         return MixedGenerators(points=tuple(pts), segments=tuple(segs))
-
-    def materialize(self) -> list[Union[Segment, Point]]:
-        out: list[Union[Segment, Point]] = []
-        gens = self.as_generators()
-        if gens is None:
-            return out
-        return list(gens.points) + list(gens.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +431,8 @@ def face_hom_check(ground_points: Sequence[Point], poly: VPolytope, face,
             report["trace_closed"] = False
             return report
         images.append(f_index[t])
-    img = np.array(images, dtype=np.int32)
-    report["joins"] = bool((img[lat.join_table]
-                            == latf.join_table[img[:, None], img[None, :]]).all())
-    report["meets"] = bool((img[lat.meet_table]
-                            == latf.meet_table[img[:, None], img[None, :]]).all())
+    defects = map_defects(LatticeMap(lat, latf, images))
+    report["joins"] = defects["join-not-preserved"] is None
+    report["meets"] = defects["meet-not-preserved"] is None
     report["surjective"] = len(set(images)) == latf.n
     return report

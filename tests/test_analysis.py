@@ -15,6 +15,7 @@ from relconvex.analysis import (
     check_weak_atom_property,
     d_relation,
     find_d_cycle,
+    map_defects,
     find_m3,
     verify_embedding,
 )
@@ -264,6 +265,20 @@ def test_verify_embedding_identity():
 def test_verify_embedding_constant_fails():
     chain = FiniteLattice.chain(2)
     f = LatticeMap(chain, chain, [0, 0])
+    ok, w = verify_embedding(f)
+    assert not ok
+    assert w.info["reason"] == "not-injective"
+
+
+def test_map_defects_reports_each_property():
+    b2 = FiniteLattice.boolean(2)
+    chain = FiniteLattice.chain(4)
+    # atoms 1 and 2 collide, and their join 3 lands above their common image
+    f = LatticeMap(b2, chain, [0, 1, 1, 2])
+    defects = map_defects(f)
+    assert defects["not-injective"].elements == [1, 2]
+    assert defects["join-not-preserved"].info["reason"] == "join-not-preserved"
+    assert defects["meet-not-preserved"].info["reason"] == "meet-not-preserved"
     ok, w = verify_embedding(f)
     assert not ok
     assert w.info["reason"] == "not-injective"

@@ -140,3 +140,22 @@ def test_resource_error_exit_2(tmp_path, capsys):
                  str(FIXTURES / "collinear4.json")])
     assert code == 2
     assert "resource-limit" in capsys.readouterr().err
+
+
+def test_malformed_rational_exit_1(tmp_path, capsys):
+    ground = tmp_path / "ground.json"
+    ground.write_text(json.dumps({"type": "finite-ground",
+                                  "points": [["0", "0"], ["1/0", "1"]]}))
+    code = main(["build", "--input", str(ground)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_reversed_interval_exit_1(tmp_path, capsys):
+    pieces = tmp_path / "set.json"
+    pieces.write_text(json.dumps({"pieces": [
+        {"carrier_index": 0, "t_lo": "3/4", "t_hi": "1/4"}]}))
+    code = main(["segments", "closure", "--input", str(FIXTURES / "cevian_ground.json"),
+                 "--set", str(pieces)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"

@@ -144,3 +144,12 @@ def test_generic_tables_match_mask_tables():
     slow = FiniteLattice(fast.labels, fast.leq)   # forces the generic LUB search
     assert (fast.join_table == slow.join_table).all()
     assert (fast.meet_table == slow.meet_table).all()
+
+
+def test_from_closed_masks_rejects_masks_beyond_int64():
+    # the lattice tables hold masks as int64; a 64-point ground must fail
+    # with the resource error, not overflow inside numpy
+    with pytest.raises(ResourceLimitError):
+        FiniteLattice.from_closed_masks([0, 1 << 63])
+    lat = FiniteLattice.from_closed_masks([0, 1 << 62])
+    assert lat.n == 2

@@ -17,10 +17,11 @@ from relconvex.geometry import (
     segment_hull_param_intervals,
     standard_simplex,
     strict_hull_member,
-    supports_face,
 )
 from relconvex.intervals import Interval
 from relconvex.segments import SegmentUnionGround, SubsegmentSet, seg_closure
+
+from oracles import supports_face
 
 
 def test_cube_faces_against_lp_oracle():

@@ -4,7 +4,6 @@ import pytest
 
 from relconvex.analysis import d_relation
 from relconvex.embedding import (
-    base_simplex,
     build_construction,
     build_embedding,
     build_ground_set,
@@ -18,18 +17,18 @@ from relconvex.geometry import VPolytope, qp, standard_simplex
 
 
 def test_base_simplex_vertices():
-    assert set(base_simplex(1).vertices) == {qp(0), qp(1)}
-    assert set(base_simplex(2).vertices) == {qp(0, 0), qp(1, 0), qp(0, 1)}
-    assert set(base_simplex(3).vertices) == {qp(0, 0, 0), qp(1, 0, 0), qp(0, 1, 0), qp(0, 0, 1)}
+    assert set(standard_simplex(1).vertices) == {qp(0), qp(1)}
+    assert set(standard_simplex(2).vertices) == {qp(0, 0), qp(1, 0), qp(0, 1)}
+    assert set(standard_simplex(3).vertices) == {qp(0, 0, 0), qp(1, 0, 0), qp(0, 1, 0), qp(0, 0, 1)}
 
 
 def test_shrink_identity_at_ratio_one():
-    tri = base_simplex(2)
+    tri = standard_simplex(2)
     assert shrink(tri, F(1)).vertices == tri.vertices
 
 
 def test_shrink_triangle_half():
-    tri = base_simplex(2)
+    tri = standard_simplex(2)
     out = shrink(tri, F(1, 2))
     assert set(out.vertices) == {qp("1/6", "1/6"), qp("2/3", "1/6"), qp("1/6", "2/3")}
 
@@ -42,13 +41,13 @@ def test_shrink_segment_half():
 
 def test_shrink_rejects_bad_ratio():
     with pytest.raises(InputError):
-        shrink(base_simplex(2), F(0))
+        shrink(standard_simplex(2), F(0))
     with pytest.raises(InputError):
-        shrink(base_simplex(2), F(3, 2))
+        shrink(standard_simplex(2), F(3, 2))
 
 
 def test_p_point_two_element_set():
-    base = base_simplex(2)
+    base = standard_simplex(2)
     A = frozenset({0, 2})
     # for |A| = 2 the hull of the single shrunken vertex is that vertex,
     # which lies on the edge
@@ -59,7 +58,7 @@ def test_p_point_two_element_set():
 
 
 def test_p_point_triangle_example():
-    base = base_simplex(2)
+    base = standard_simplex(2)
     A = frozenset({0, 1, 2})
     # the shrunken hull of {p0, p1} at ratio 1/2 lies on y = 1/6; the edge
     # [p0, p2] is x = 0
@@ -71,7 +70,7 @@ def test_p_point_triangle_example():
 
 
 def test_p_point_strictly_between():
-    base = base_simplex(2)
+    base = standard_simplex(2)
     A = frozenset({0, 1, 2})
     for i in A:
         for j in A - {i}:
@@ -93,7 +92,7 @@ def test_epsilon_search_n1_trivial():
 
 def test_t_and_u_polytopes_two_element_sets():
     from relconvex.embedding import t_polytope, u_polytope
-    base = base_simplex(1)
+    base = standard_simplex(1)
     A = frozenset({0, 1})
     t = t_polytope(base, A, F(1, 2), 1)
     u = u_polytope(base, A, F(1, 2), 0)
@@ -104,7 +103,7 @@ def test_t_and_u_polytopes_two_element_sets():
 
 def test_t_polytope_triangle_quadrilateral():
     from relconvex.embedding import t_polytope
-    base = base_simplex(2)
+    base = standard_simplex(2)
     A = frozenset({0, 1, 2})
     t = t_polytope(base, A, F(1, 2), 2)
     # two parallel faces: the base edge {p0, p1} and the shrunken line copy

@@ -19,9 +19,10 @@ from relconvex.geometry import (
     segment_hull_param_intervals,
     standard_simplex,
     strict_hull_member,
-    supports_face,
 )
 from relconvex.intervals import Interval
+
+from oracles import supports_face
 
 TRIANGLE = [qp(0, 0), qp(1, 0), qp(0, 1)]
 

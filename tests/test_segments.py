@@ -341,6 +341,11 @@ def test_face_hom_check_small_grounds():
                           for k in range(2)))
         rep = face_hom_check(sorted(pts), tri, edge)
         assert rep["trace_closed"] and rep["joins"] and rep["meets"] and rep["surjective"], rep
+    # a chord through the interior is no face: the trace of {(4,0), (0,4)}
+    # joined with {(0,0)} holds (1,1), the join of the traces does not
+    chord = (qp(0, 0), qp(2, 2))
+    rep = face_hom_check([qp(0, 0), qp(4, 0), qp(0, 4), qp(1, 1)], tri, chord)
+    assert rep["trace_closed"] and rep["meets"] and not rep["joins"], rep
 
 
 def test_ground_validation():
