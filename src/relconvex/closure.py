@@ -5,16 +5,23 @@ Membership witnesses are precomputed once per ground: for every point x the
 inclusion-minimal subsets of the other points whose hull contains x (by
 Caratheodory's theorem subsets of size at most dim+1 suffice).  A closure is
 then a single pass of subset tests, which keeps full enumerations cheap.
+
+Hull membership and affine independence do not change under an affine
+bijection, so the table is built on the ground scaled once to integer
+coordinates; each candidate subset then costs one fraction-free elimination
+(:func:`relconvex.linalg.rref_int`) and no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, ResourceLimitError
-from .geometry import Point, affine_coordinates, affinely_independent
+from .geometry import Point
+from .linalg import rref_int
 
 DEFAULT_MAX_GROUND = 20
 
@@ -43,8 +50,10 @@ class FiniteGround:
     def _witness_table(self) -> list[list[int]]:
         if self._witnesses is not None:
             return self._witnesses
+        scale = lcm(*(c.denominator for p in self.points for c in p))
+        pts = [[c.numerator * (scale // c.denominator) for c in p] + [1] for p in self.points]
         table: list[list[int]] = []
-        for i, q in enumerate(self.points):
+        for i, q in enumerate(pts):
             others = [j for j in range(self.n) if j != i]
             found: list[int] = []
             for size in range(1, self.dim + 2):
@@ -54,11 +63,14 @@ class FiniteGround:
                         mask |= 1 << j
                     if any(m & mask == m for m in found):
                         continue
-                    pts = [self.points[j] for j in subset]
-                    if not affinely_independent(pts):
+                    # Columns (p_j, 1) then (q, 1): the subset is affinely
+                    # independent iff its `size` columns are pivots, q lies in
+                    # its affine hull iff q's column is no pivot, and then the
+                    # barycentric coordinates are red[r][size] / det.
+                    red, pivots, det = rref_int(zip(*(pts[j] for j in subset), q))
+                    if pivots[:size + 1] != list(range(size)):
                         continue
-                    coords = affine_coordinates(q, pts)
-                    if coords is not None and all(c >= 0 for c in coords):
+                    if all(red[r][size] * det >= 0 for r in range(size)):
                         found.append(mask)
             table.append(found)
         self._witnesses = table

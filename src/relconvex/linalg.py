@@ -1,37 +1,66 @@
-"""Exact rational linear algebra helpers (dense, small systems only)."""
+"""Exact linear algebra on small dense systems.
+
+All elimination runs fraction-free on Python ``int`` in one kernel,
+:func:`rref_int` (Bareiss's integer-preserving Gauss-Jordan).  The rational
+API below clears denominators row by row, which leaves the reduced row
+echelon form unchanged, and builds ``Fraction`` values only on the way out.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def rref_int(matrix: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivot column indices, det), where det is the last pivot:
+    the determinant of the pivot rows and columns, or 1 when there is no
+    pivot.  Each step replaces every other row by (p * row - f * pivot_row)
+    / d, where p is the new pivot and d the previous one; by Sylvester's
+    identity the division is exact (Bareiss 1968).  At the end every pivot
+    entry equals ``det``, the other entries of a pivot column are zero, rows
+    past the rank are zero, and the reduced row echelon form is
+    ``rows / det``.
+    """
     rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    nrows = len(rows)
     pivots: list[int] = []
+    det = 1
+    if not rows:
+        return rows, pivots, det
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+        top = rows[r]
+        p = top[c]
+        for i in range(nrows):
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(p * a - f * b) // det for a, b in zip(rows[i], top)]
+        det = p
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, det
+
+
+def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    scaled = []
+    for row in matrix:
+        m = lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (m // v.denominator) for v in row])
+    rows, pivots, det = rref_int(scaled)
+    return [[Fraction(v, det) for v in row] for row in rows], pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:

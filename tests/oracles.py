@@ -3,6 +3,7 @@ against.  They live here, not in the package, because nothing in the
 package calls them."""
 
 from fractions import Fraction
+from typing import Sequence
 
 from relconvex import lp
 from relconvex.geometry import Point, VPolytope
@@ -51,3 +52,30 @@ def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
     c[2 * n + 2] = Fraction(1)
     res = lp.maximize(rows, rhs, c)
     return res.status == lp.OPTIMAL and res.objective > 0
+
+
+def rref_reference(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan on ``Fraction``; returns
+    (rows, pivot column indices)."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots

@@ -6,7 +6,7 @@ import pytest
 
 from relconvex.closure import FiniteGround, collinear_ground
 from relconvex.errors import InputError, ResourceLimitError
-from relconvex.geometry import qp
+from relconvex.geometry import caratheodory_member, qp
 from relconvex.lattice import FiniteLattice
 
 
@@ -89,6 +89,72 @@ def test_bottom_is_closure_of_empty():
         lat = g.lattice()
         assert lat.labels[lat.bottom()] == g.closure_mask(0)
         assert lat.n == len(g.enumerate_closed_masks())
+
+
+def oracle_grounds(rng):
+    """Grounds of at most 7 points in dimensions 1-3 with mixed
+    denominators: general position, collinear and (in 3-D) coplanar."""
+    def rat():
+        return F(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 7, 12]))
+
+    grounds = []
+    for dim in (1, 2, 3):
+        for kind in ("general", "collinear", "coplanar"):
+            if (kind == "coplanar" and dim < 3) or (kind == "collinear" and dim == 1):
+                continue
+            size = rng.randint(4, 7)
+            base = [tuple(rat() for _ in range(dim)) for _ in range(2)]
+            pts = set()
+            while len(pts) < size:
+                if kind == "general":
+                    pts.add(tuple(rat() for _ in range(dim)))
+                    continue
+                ts = [rat() for _ in base]
+                if kind == "collinear":
+                    ts = ts[:1]
+                origin = (F(1, 3),) * dim
+                pts.add(tuple(origin[k] + sum(t * b[k] for t, b in zip(ts, base))
+                              for k in range(dim)))
+            grounds.append(FiniteGround(sorted(pts)))
+    return grounds
+
+
+def test_closure_matches_caratheodory_oracle():
+    rng = random.Random(2024)
+    for g in [g for _ in range(4) for g in oracle_grounds(rng)]:
+        for mask in range(1 << g.n):
+            gens = [g.points[j] for j in range(g.n) if mask >> j & 1]
+            expect = mask
+            for x in range(g.n):
+                if not mask >> x & 1 and caratheodory_member(g.points[x], gens):
+                    expect |= 1 << x
+            assert g.closure_mask(mask) == expect
+
+
+def test_stored_witnesses_are_inclusion_minimal():
+    rng = random.Random(2025)
+    for g in oracle_grounds(rng):
+        for x, witnesses in enumerate(g._witness_table()):
+            for w in witnesses:
+                members = [j for j in range(g.n) if w >> j & 1]
+                assert x not in members and len(members) <= g.dim + 1
+                assert caratheodory_member(g.points[x], [g.points[j] for j in members])
+                for drop in members:
+                    rest = [g.points[j] for j in members if j != drop]
+                    assert not caratheodory_member(g.points[x], rest)
+
+
+def test_witness_table_invariant_under_affine_rescaling():
+    # x -> x/k + c with k about 1e9 and a non-integer shift, so the
+    # integer scaling of the table runs on big ints
+    rng = random.Random(2026)
+    k = 10**9 + 7
+    for g in oracle_grounds(rng):
+        shift = [F(rng.randint(-50, 50), rng.choice([3, 7, 10])) for _ in range(g.dim)]
+        image = FiniteGround([tuple(c / k + s for c, s in zip(p, shift)) for p in g.points])
+        assert image._witness_table() == g._witness_table()
+        for mask in range(1 << g.n):
+            assert image.closure_mask(mask) == g.closure_mask(mask)
 
 
 # --- lattice structure -------------------------------------------------------

@@ -1,0 +1,118 @@
+"""The fraction-free kernel behind the rational API against the Fraction
+Gauss-Jordan reference in oracles.py."""
+
+from fractions import Fraction as F
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relconvex.linalg import nullspace, rank, rref, rref_int, solve
+
+from oracles import rref_reference
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-5, 5).map(F),
+    st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    """Tall, wide and square matrices, with zero rows, zero columns and rows
+    that are combinations of earlier rows (rank deficiency)."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "combination"]))
+        if kind == "zero":
+            rows[i] = [F(0)] * ncols
+        elif kind == "combination" and i > 0:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(entries), draw(entries)
+            rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    if ncols:
+        for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[c] = F(0)
+    return rows
+
+
+def times(m, x):
+    return [sum((a * b for a, b in zip(row, x)), F(0)) for row in m]
+
+
+@st.composite
+def systems(draw):
+    """(M, rhs): rhs = M x for a drawn x (consistent), or drawn freely, which
+    leaves a rank-deficient system inconsistent almost always."""
+    m = draw(matrices())
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=len(m[0]), max_size=len(m[0])))
+        rhs = times(m, x)
+    else:
+        rhs = draw(st.lists(entries, min_size=len(m), max_size=len(m)))
+    return m, rhs
+
+
+def check_solution(m, rhs, sol):
+    """``sol`` is the reference's solution: None iff the augmented matrix
+    has a pivot in its last column; otherwise a particular solution that
+    is zero on the free columns and one basis vector per free column that
+    is 1 there and 0 on the other free columns.  Those conditions fix
+    every value, so they amount to equality with the reference."""
+    ncols = len(m[0])
+    _, aug_pivots = rref_reference([row + [b] for row, b in zip(m, rhs)])
+    if ncols in aug_pivots:
+        assert sol is None
+        return
+    assert sol is not None
+    part, basis = sol
+    free = [c for c in range(ncols) if c not in rref_reference(m)[1]]
+    assert times(m, part) == rhs
+    assert all(part[c] == 0 for c in free)
+    assert len(basis) == len(free)
+    for f, vec in zip(free, basis):
+        assert times(m, vec) == [0] * len(m)
+        assert [vec[c] for c in free] == [int(c == f) for c in free]
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_reference(m):
+    expect = rref_reference(m)
+    assert rref(m) == expect
+    assert rank(m) == len(expect[1])
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_kernel_pivots_equal_det_and_rows_divide_to_rref(m):
+    scaled = [[v.numerator * (lcm(*(w.denominator for w in row)) // v.denominator)
+               for v in row] for row in m]
+    rows, pivots, det = rref_int(scaled)
+    assert all(rows[r][c] == det for r, c in enumerate(pivots))
+    assert [[F(v, det) for v in row] for row in rows] == rref_reference(scaled)[0]
+
+
+@settings(deadline=None)
+@given(systems())
+def test_solve_matches_reference(system):
+    m, rhs = system
+    check_solution(m, rhs, solve(m, rhs))
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_nullspace_matches_reference(m):
+    check_solution(m, [F(0)] * len(m), ([F(0)] * len(m[0]), nullspace(m)))
+
+
+def test_empty_shapes():
+    assert rref([]) == rref_reference([]) == ([], [])
+    assert rref([[]]) == rref_reference([[]]) == ([[]], [])
+    assert rref_int([]) == ([], [], 1)
+    assert solve([], []) == ([], [])
+    assert nullspace([]) == []
