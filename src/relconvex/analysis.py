@@ -162,7 +162,7 @@ class ClosureTable:
     def closure_mask(self, mask: int) -> int:
         return self._table[mask]
 
-    def enumerate_closed_masks(self, max_ground: int = 20) -> list[int]:
+    def enumerate_closed_masks(self) -> list[int]:
         return [m for m in range(1 << self.n) if self._table[m] == m]
 
 

@@ -186,8 +186,7 @@ def cmd_segments(args) -> int:
     if args.operation == "closure":
         if not args.set:
             raise InputError("closure needs --set")
-        doc = _load_json(args.set)
-        y = rio.subsegment_set_from_json(ground, doc["pieces"])
+        y = rio.subsegment_set_doc_from_json(ground, _load_json(args.set))
         closed = seg_closure(y)
         _write(args, "segments_closure.json", rio.dumps({
             "schema_version": rio.SCHEMA_VERSION,
@@ -198,10 +197,7 @@ def cmd_segments(args) -> int:
     # sdv
     triples = None
     if args.set:
-        doc = _load_json(args.set)
-        named = {k: rio.subsegment_set_from_json(ground, v)
-                 for k, v in doc["sets"].items()}
-        triples = [tuple(named[n] for n in t) for t in doc["triples"]]
+        triples = rio.subsegment_triples_from_json(ground, _load_json(args.set))
     ok, info = sdv_spot_check(ground, triples=triples, count=args.count, seed=args.seed)
     witness = None
     if not ok:

@@ -305,7 +305,7 @@ def _affine_functional(zero_pts: Sequence[Point], one_pt: Point):
     return evaluate
 
 
-def verify_lemmas(ctor: Construction, l5_cap: Optional[int] = None) -> LemmaReport:
+def verify_lemmas(ctor: Construction) -> LemmaReport:
     """Exact certificates for the structural facts the embedding rests on.
 
     slab(A, j): the corner prism T(A, j) lies between the face hyperplane
@@ -378,8 +378,6 @@ def verify_lemmas(ctor: Construction, l5_cap: Optional[int] = None) -> LemmaRepo
                         cands.append(interpolate(a, b, Fraction(1, 2)))
                 choices[i] = cands
             tuples = list(itertools.product(*(choices[i] for i in sorted(A))))
-            if l5_cap is not None:
-                tuples = tuples[:l5_cap]
             ok = True
             for qs in tuples:
                 gens = MixedGenerators(open_faces=(tuple(qs),))

@@ -44,14 +44,6 @@ def sub(a: Point, b: Point) -> Point:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def add(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale(a: Point, t: Fraction) -> Point:
-    return tuple(t * x for x in a)
-
-
 def interpolate(a: Point, b: Point, t: Fraction) -> Point:
     """Point a + t (b - a)."""
     return tuple(x + t * (y - x) for x, y in zip(a, b))
@@ -121,17 +113,14 @@ class MixedGenerators:
 
 
 def hull_member(q: Point, pts: Sequence[Point]) -> bool:
-    """Exact convex-hull membership, decided by LP feasibility."""
+    """Exact convex-hull membership: the strict-LP builder with one closed
+    atom per point, which is plain LP feasibility."""
     if not pts:
         return False
     dim = _check_dim(pts)
     if len(q) != dim:
         raise DimensionMismatch("query point dimension mismatch")
-    cols = list(pts)
-    A = [[p[k] for p in cols] for k in range(dim)]
-    A.append([Fraction(1)] * len(cols))
-    b = list(q) + [Fraction(1)]
-    return lp.feasible(A, b)
+    return _combo_lp([[(p, False) for p in pts]], q, "strict")
 
 
 def affine_coordinates(q: Point, pts: Sequence[Point]):

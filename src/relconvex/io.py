@@ -8,6 +8,7 @@ integer arithmetic only.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -34,6 +35,19 @@ def str_to_rat(s: str) -> Fraction:
         raise InputError(f"malformed rational {s!r}: {exc}") from exc
 
 
+def _document(load):
+    """A missing key, bad index or wrong type in the document is an InputError."""
+    @functools.wraps(load)
+    def checked(*args):
+        try:
+            return load(*args)
+        except InputError:
+            raise
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+            raise InputError(f"{load.__name__}: malformed document ({exc!r})") from exc
+    return checked
+
+
 def point_to_json(p: Point) -> list[str]:
     return [rat_to_str(c) for c in p]
 
@@ -55,6 +69,7 @@ def ground_to_json(g: FiniteGround) -> dict:
     }
 
 
+@_document
 def ground_from_json(data: dict) -> FiniteGround:
     if data.get("type") != "finite-ground":
         raise InputError("expected a finite-ground document")
@@ -74,6 +89,7 @@ def segment_ground_to_json(g: SegmentUnionGround) -> dict:
     }
 
 
+@_document
 def segment_ground_from_json(data: dict) -> SegmentUnionGround:
     if data.get("type") != "segment-ground":
         raise InputError("expected a segment-ground document")
@@ -84,6 +100,7 @@ def segment_ground_from_json(data: dict) -> SegmentUnionGround:
     return SegmentUnionGround(segs)
 
 
+@_document
 def polytope_from_json(data: dict) -> VPolytope:
     if data.get("type") != "polytope":
         raise InputError("expected a polytope document")
@@ -102,6 +119,7 @@ def subsegment_set_to_json(s: SubsegmentSet) -> list[dict]:
     return out
 
 
+@_document
 def subsegment_set_from_json(ground: SegmentUnionGround, arr: Sequence[dict]) -> SubsegmentSet:
     pieces: list[list[Interval]] = [[] for _ in range(ground.k)]
     for rec in arr:
@@ -114,6 +132,21 @@ def subsegment_set_from_json(ground: SegmentUnionGround, arr: Sequence[dict]) ->
     return SubsegmentSet(ground, pieces)
 
 
+@_document
+def subsegment_set_doc_from_json(ground: SegmentUnionGround, doc: dict) -> SubsegmentSet:
+    """The set in a ``{"pieces": [...]}`` document (``segments closure --set``)."""
+    return subsegment_set_from_json(ground, doc["pieces"])
+
+
+@_document
+def subsegment_triples_from_json(ground: SegmentUnionGround, doc: dict) -> list[tuple]:
+    """The triples of a ``{"sets": {name: pieces}, "triples": [[name, ...]]}``
+    document (``segments sdv --set``)."""
+    named = {k: subsegment_set_from_json(ground, v) for k, v in doc["sets"].items()}
+    return [tuple(named[n] for n in t) for t in doc["triples"]]
+
+
+@_document
 def closure_table_from_json(data: dict):
     from .analysis import ClosureTable
 
@@ -152,6 +185,7 @@ def lattice_to_json(lat: FiniteLattice, include_tables: bool = False) -> dict:
     return out
 
 
+@_document
 def lattice_from_json(data: dict) -> FiniteLattice:
     if data.get("type") != "lattice":
         raise InputError("expected a lattice document")

@@ -149,10 +149,3 @@ def maximize(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
         x[bv] = tab[i][-1]
     value = sum(ci * xi for ci, xi in zip(cost, x))
     return LPResult(OPTIMAL, x, value)
-
-
-def feasible(A: Sequence[Sequence], b: Sequence) -> bool:
-    """Decide whether A x = b, x >= 0 has a solution."""
-    ncols = len(A[0]) if A else 0
-    res = maximize(A, b, [Fraction(0)] * ncols)
-    return res.status == OPTIMAL

@@ -5,6 +5,10 @@ closed set is stored per carrier as a canonical list of disjoint parameter
 intervals with openness flags.  Canonical form is extensional: a point lying
 on several carriers appears in every carrier's interval list whose domain
 admits it, so structural equality of interval lists is point-set equality.
+A hand-built set reaches that form through the hull traces of its pieces on
+every carrier.  Closures, meets, joins, the whole ground, face traces and
+random draws are extensional by construction and skip the traces, which cost
+LPs, so closure, join and meet solve no LP beyond the closure's own.
 
 Closure is computed carrier by carrier with the exact strict-LP machinery of
 :mod:`relconvex.geometry`: the closure of Y is the set of carrier parameters
@@ -15,11 +19,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from . import linalg
 from .analysis import LatticeMap, map_defects
 from .closure import FiniteGround
 from .errors import DimensionMismatch, InputError
@@ -31,55 +33,8 @@ from .geometry import (
     extreme_points,
     hull_member,
     segment_hull_param_intervals,
-    sub,
 )
 from .intervals import Interval, intersect_unions, union_intervals
-
-
-@dataclass(frozen=True)
-class _Overlap:
-    kind: str                                  # "point" or "interval"
-    t_self: Optional[Fraction] = None          # point: parameter on this carrier
-    t_other: Optional[Fraction] = None
-    span: Optional[tuple] = None               # interval: (lo, hi) on this carrier
-    shift: Optional[Fraction] = None           # interval map: u = shift + scale * t
-    scale: Optional[Fraction] = None
-
-
-def _carrier_overlap(si: Segment, sj: Segment) -> Optional[_Overlap]:
-    """Intersection of the closed supports of two carriers, as parameters."""
-    di, dj = sub(si.b, si.a), sub(sj.b, sj.a)
-    n = len(di)
-    rows = [[di[k], -dj[k]] for k in range(n)]
-    rhs = [sj.a[k] - si.a[k] for k in range(n)]
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    part, null = sol
-    if not null:
-        t, u = part
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return _Overlap("point", t_self=t, t_other=u)
-        return None
-    # collinear supports: express sj's endpoints in si parameters
-    def param_on_i(x: Point) -> Optional[Fraction]:
-        cols = [[di[k]] for k in range(n)]
-        s = linalg.solve(cols, [x[k] - si.a[k] for k in range(n)])
-        return None if s is None else s[0][0]
-
-    ta = param_on_i(sj.a)
-    tb = param_on_i(sj.b)
-    if ta is None or tb is None:
-        return None
-    lo, hi = min(ta, tb), max(ta, tb)
-    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-    if lo > hi:
-        return None
-    scale = 1 / (tb - ta)
-    shift = -ta * scale
-    if lo == hi:
-        return _Overlap("point", t_self=lo, t_other=shift + scale * lo)
-    return _Overlap("interval", span=(lo, hi), shift=shift, scale=scale)
 
 
 class SegmentUnionGround:
@@ -98,24 +53,32 @@ class SegmentUnionGround:
         self.segments = segs
         self.dim = dim
         self.k = len(segs)
-        self._overlaps: Optional[dict] = None
-
-    def overlaps(self) -> dict[tuple[int, int], _Overlap]:
-        if self._overlaps is None:
-            out = {}
-            for i, j in itertools.permutations(range(self.k), 2):
-                ov = _carrier_overlap(self.segments[i], self.segments[j])
-                if ov is not None:
-                    out[(i, j)] = ov
-            self._overlaps = out
-        return self._overlaps
 
     def __repr__(self):
         return f"SegmentUnionGround({self.k} segments in Q^{self.dim})"
 
 
+def _piece(carrier: Segment, iv: Interval) -> Union[Point, Segment]:
+    """The points of ``carrier`` with parameter in ``iv``."""
+    if iv.is_point:
+        return carrier.at(iv.lo)
+    return Segment(carrier.at(iv.lo), carrier.at(iv.hi), iv.lo_closed, iv.hi_closed)
+
+
+def _generators(pieces: Sequence[Union[Point, Segment]]) -> MixedGenerators:
+    return MixedGenerators(points=tuple(p for p in pieces if not isinstance(p, Segment)),
+                           segments=tuple(p for p in pieces if isinstance(p, Segment)))
+
+
 class SubsegmentSet:
-    """A point subset of a segment-union ground, canonical per carrier."""
+    """A point subset of a segment-union ground, canonical per carrier.
+
+    Intervals are clipped to their carrier's domain; then each carrier holds
+    the union of every piece's trace on it (a piece is its own hull).
+    ``_canonical=True`` skips the trace, which solves LPs, for sets that are
+    extensional by construction: closures, meets, unions of canonical sets,
+    the whole ground, face traces and random draws that only feed a closure.
+    """
 
     def __init__(self, ground: SegmentUnionGround,
                  pieces: Sequence[Sequence[Interval]], *, _canonical=False):
@@ -123,59 +86,16 @@ class SubsegmentSet:
         if len(pieces) != ground.k:
             raise InputError("one interval list per carrier required")
         cleaned = []
-        for idx, ivs in enumerate(pieces):
-            dom = ground.segments[idx].domain()
-            clipped = []
-            for iv in ivs:
-                c = iv.intersect(dom)
-                if c is not None:
-                    clipped.append(c)
-            cleaned.append(union_intervals(clipped))
-        self.pieces: tuple[tuple[Interval, ...], ...] = tuple(cleaned)
+        for carrier, ivs in zip(ground.segments, pieces):
+            clipped = (iv.intersect(carrier.domain()) for iv in ivs)
+            cleaned.append(union_intervals(c for c in clipped if c is not None))
         if not _canonical:
-            self._propagate_shared_points()
-
-    def _propagate_shared_points(self):
-        pieces = [list(p) for p in self.pieces]
-        overlaps = self.ground.overlaps()
-        for _ in range(2 * self.ground.k * self.ground.k + 2):
-            changed = False
-            for (i, j), ov in overlaps.items():
-                dom_j = self.ground.segments[j].domain()
-                current_i = pieces[i]
-                if ov.kind == "point":
-                    t, u = ov.t_self, ov.t_other
-                    if any(iv.contains(t) for iv in current_i) and dom_j.contains(u):
-                        if not any(iv.contains(u) for iv in pieces[j]):
-                            pieces[j] = list(union_intervals(pieces[j] + [Interval.point(u)]))
-                            changed = True
-                else:
-                    lo, hi = ov.span
-                    window = Interval(lo, hi)
-                    mapped = []
-                    for iv in current_i:
-                        c = iv.intersect(window)
-                        if c is None:
-                            continue
-                        u1 = ov.shift + ov.scale * c.lo
-                        u2 = ov.shift + ov.scale * c.hi
-                        if u1 <= u2:
-                            m = Interval(u1, u2, c.lo_closed, c.hi_closed)
-                        else:
-                            m = Interval(u2, u1, c.hi_closed, c.lo_closed)
-                        md = m.intersect(dom_j)
-                        if md is not None:
-                            mapped.append(md)
-                    if mapped:
-                        merged = union_intervals(list(pieces[j]) + mapped)
-                        if merged != tuple(pieces[j]):
-                            pieces[j] = list(merged)
-                            changed = True
-            if not changed:
-                break
-        else:
-            raise InputError("carrier propagation failed to stabilize")
-        self.pieces = tuple(tuple(p) for p in pieces)
+            piece_gens = [_generators([_piece(carrier, iv)])
+                          for carrier, ivs in zip(ground.segments, cleaned) for iv in ivs]
+            cleaned = [union_intervals(t for gens in piece_gens
+                                       for t in segment_hull_param_intervals(carrier, gens))
+                       for carrier in ground.segments]
+        self.pieces: tuple[tuple[Interval, ...], ...] = tuple(cleaned)
 
     # -- constructors ---------------------------------------------------------
 
@@ -185,7 +105,7 @@ class SubsegmentSet:
 
     @classmethod
     def whole(cls, ground: SegmentUnionGround) -> "SubsegmentSet":
-        return cls(ground, [[ground.segments[i].domain()] for i in range(ground.k)])
+        return cls(ground, [[s.domain()] for s in ground.segments], _canonical=True)
 
     # -- structure -------------------------------------------------------------
 
@@ -214,19 +134,9 @@ class SubsegmentSet:
         return any(iv.contains(t) for iv in self.pieces[carrier])
 
     def as_generators(self) -> Optional[MixedGenerators]:
-        pts = []
-        segs = []
-        for i, ivs in enumerate(self.pieces):
-            carrier = self.ground.segments[i]
-            for iv in ivs:
-                if iv.is_point:
-                    pts.append(carrier.at(iv.lo))
-                else:
-                    segs.append(Segment(carrier.at(iv.lo), carrier.at(iv.hi),
-                                        iv.lo_closed, iv.hi_closed))
-        if not pts and not segs:
-            return None
-        return MixedGenerators(points=tuple(pts), segments=tuple(segs))
+        pieces = [_piece(carrier, iv)
+                  for carrier, ivs in zip(self.ground.segments, self.pieces) for iv in ivs]
+        return _generators(pieces) if pieces else None
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +148,8 @@ def seg_closure(y: SubsegmentSet) -> SubsegmentSet:
     gens = y.as_generators()
     if gens is None:
         return SubsegmentSet.empty(y.ground)
-    pieces = []
-    for carrier in y.ground.segments:
-        pieces.append(list(segment_hull_param_intervals(carrier, gens)))
-    return SubsegmentSet(y.ground, pieces)
+    pieces = [segment_hull_param_intervals(carrier, gens) for carrier in y.ground.segments]
+    return SubsegmentSet(y.ground, pieces, _canonical=True)
 
 
 def seg_meet(a: SubsegmentSet, b: SubsegmentSet) -> SubsegmentSet:
@@ -256,7 +164,7 @@ def seg_join(a: SubsegmentSet, b: SubsegmentSet) -> SubsegmentSet:
         raise InputError("operands live over different grounds")
     pieces = [list(union_intervals(list(pa) + list(pb)))
               for pa, pb in zip(a.pieces, b.pieces)]
-    return seg_closure(SubsegmentSet(a.ground, pieces))
+    return seg_closure(SubsegmentSet(a.ground, pieces, _canonical=True))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +172,12 @@ def seg_join(a: SubsegmentSet, b: SubsegmentSet) -> SubsegmentSet:
 
 
 def check_condition_disjoint(ground: SegmentUnionGround):
-    """Topological closures of distinct carriers must be pairwise disjoint."""
+    """Topological closures of distinct carriers must be pairwise disjoint:
+    the first pair i < j where closed carrier i has a nonempty trace on
+    closed carrier j fails."""
+    closed = [Segment(s.a, s.b) for s in ground.segments]
     for i, j in itertools.combinations(range(ground.k), 2):
-        ov = _carrier_overlap(ground.segments[i], ground.segments[j])
-        if ov is not None:
+        if segment_hull_param_intervals(closed[j], MixedGenerators(segments=(closed[i],))):
             return False, (i, j)
     return True, None
 
@@ -302,7 +212,7 @@ def random_closed_set(ground: SegmentUnionGround, rng: random.Random) -> Subsegm
                 ivs.append(Interval(a, b, rng.random() < 0.5 or a == b,
                                     rng.random() < 0.5 or a == b))
         pieces.append(ivs)
-    return seg_closure(SubsegmentSet(ground, pieces))
+    return seg_closure(SubsegmentSet(ground, pieces, _canonical=True))
 
 
 def sdv_spot_check(ground: SegmentUnionGround,
@@ -340,29 +250,26 @@ def extreme_points_of_closure(ground: SegmentUnionGround) -> list[Point]:
     return extreme_points(endpoints)
 
 
-def _face_param_intervals(carrier: Segment, face_vertices) -> tuple[Interval, ...]:
-    gens = MixedGenerators(points=tuple(face_vertices))
-    return segment_hull_param_intervals(carrier, gens)
+# sample points of a face for finite Y: its vertices and every combination
+# of them with weights k/d, d = 2 .. _SAMPLE_DENOMINATOR
+_SAMPLE_DENOMINATOR = 3
 
 
-def face_restriction_check(y, poly: VPolytope, face, *,
-                           sample_denominator: int = 3) -> bool:
+def face_restriction_check(y, poly: VPolytope, face) -> bool:
     """hull(Y) ∩ F = hull(Y ∩ F), checked exactly per sample point (finite Y)
     or per carrier parameter interval (subsegment Y)."""
     fverts = face.vertices if hasattr(face, "vertices") else tuple(face)
     if isinstance(y, SubsegmentSet):
         ygens = y.as_generators()
-        face_trace = SubsegmentSet(
-            y.ground, [list(_face_param_intervals(c, fverts))
-                       for c in y.ground.segments])
+        fgens = MixedGenerators(points=tuple(fverts))
+        on_face = [segment_hull_param_intervals(c, fgens) for c in y.ground.segments]
+        face_trace = SubsegmentSet(y.ground, on_face, _canonical=True)
         yf_gens = seg_meet(y, face_trace).as_generators()
-        for idx, carrier in enumerate(y.ground.segments):
-            on_face = _face_param_intervals(carrier, fverts)
+        for carrier, trace in zip(y.ground.segments, on_face):
             if ygens is None:
                 lhs = ()
             else:
-                lhs = intersect_unions(segment_hull_param_intervals(carrier, ygens),
-                                       on_face)
+                lhs = intersect_unions(segment_hull_param_intervals(carrier, ygens), trace)
             rhs = (() if yf_gens is None
                    else segment_hull_param_intervals(carrier, yf_gens))
             if tuple(lhs) != tuple(rhs):
@@ -373,7 +280,7 @@ def face_restriction_check(y, poly: VPolytope, face, *,
         if not hull_member(p, poly.vertices):
             raise InputError("Y must be contained in the polytope")
     inside = [p for p in pts if hull_member(p, fverts)]
-    for z in _face_samples(fverts, sample_denominator) + pts:
+    for z in _face_samples(fverts) + pts:
         if not hull_member(z, fverts):
             continue
         lhs = hull_member(z, pts)
@@ -383,11 +290,11 @@ def face_restriction_check(y, poly: VPolytope, face, *,
     return True
 
 
-def _face_samples(fverts, max_denominator: int) -> list[Point]:
+def _face_samples(fverts) -> list[Point]:
     m = len(fverts)
     dim = len(fverts[0])
     out = set(fverts)
-    for d in range(2, max_denominator + 1):
+    for d in range(2, _SAMPLE_DENOMINATOR + 1):
         for weights in itertools.product(range(d + 1), repeat=m):
             if sum(weights) != d:
                 continue

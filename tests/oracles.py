@@ -2,11 +2,15 @@
 against.  They live here, not in the package, because nothing in the
 package calls them."""
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from relconvex import lp
-from relconvex.geometry import Point, VPolytope
+from relconvex import linalg, lp
+from relconvex.errors import InputError
+from relconvex.geometry import Point, Segment, VPolytope, sub
+from relconvex.intervals import Interval, union_intervals
 
 
 def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
@@ -79,3 +83,129 @@ def rref_reference(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Frac
         if r == len(rows):
             break
     return rows, pivots
+
+
+# ---------------------------------------------------------------------------
+# carrier-overlap algebra: the canonical form of a subsegment set computed by
+# mapping pieces between carriers through their parametric overlaps
+
+
+@dataclass(frozen=True)
+class _Overlap:
+    kind: str                                  # "point" or "interval"
+    t_self: Optional[Fraction] = None          # point: parameter on this carrier
+    t_other: Optional[Fraction] = None
+    span: Optional[tuple] = None               # interval: (lo, hi) on this carrier
+    shift: Optional[Fraction] = None           # interval map: u = shift + scale * t
+    scale: Optional[Fraction] = None
+
+
+def _carrier_overlap(si: Segment, sj: Segment) -> Optional[_Overlap]:
+    """Intersection of the closed supports of two carriers, as parameters."""
+    di, dj = sub(si.b, si.a), sub(sj.b, sj.a)
+    n = len(di)
+    rows = [[di[k], -dj[k]] for k in range(n)]
+    rhs = [sj.a[k] - si.a[k] for k in range(n)]
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        return None
+    part, null = sol
+    if not null:
+        t, u = part
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return _Overlap("point", t_self=t, t_other=u)
+        return None
+    # collinear supports: express sj's endpoints in si parameters
+    def param_on_i(x: Point) -> Optional[Fraction]:
+        cols = [[di[k]] for k in range(n)]
+        s = linalg.solve(cols, [x[k] - si.a[k] for k in range(n)])
+        return None if s is None else s[0][0]
+
+    ta = param_on_i(sj.a)
+    tb = param_on_i(sj.b)
+    if ta is None or tb is None:
+        return None
+    lo, hi = min(ta, tb), max(ta, tb)
+    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+    if lo > hi:
+        return None
+    scale = 1 / (tb - ta)
+    shift = -ta * scale
+    if lo == hi:
+        return _Overlap("point", t_self=lo, t_other=shift + scale * lo)
+    return _Overlap("interval", span=(lo, hi), shift=shift, scale=scale)
+
+
+def carrier_overlaps(segments: Sequence[Segment]) -> dict:
+    """Every ordered pair of carriers whose closed supports meet."""
+    out = {}
+    for i, j in itertools.permutations(range(len(segments)), 2):
+        ov = _carrier_overlap(segments[i], segments[j])
+        if ov is not None:
+            out[(i, j)] = ov
+    return out
+
+
+def overlapping_pair(segments: Sequence[Segment]):
+    """(ok, first pair i < j of carriers whose closed supports meet)."""
+    for i, j in itertools.combinations(range(len(segments)), 2):
+        ov = _carrier_overlap(segments[i], segments[j])
+        if ov is not None:
+            return False, (i, j)
+    return True, None
+
+
+def propagated_pieces(segments: Sequence[Segment], pieces) -> tuple:
+    """Canonical per-carrier pieces: clip each interval to its carrier's
+    domain, then copy every piece onto each overlapping carrier until
+    nothing changes."""
+    k = len(segments)
+    cleaned = []
+    for idx, ivs in enumerate(pieces):
+        dom = segments[idx].domain()
+        clipped = []
+        for iv in ivs:
+            c = iv.intersect(dom)
+            if c is not None:
+                clipped.append(c)
+        cleaned.append(union_intervals(clipped))
+    pieces = [list(p) for p in cleaned]
+    overlaps = carrier_overlaps(segments)
+    for _ in range(2 * k * k + 2):
+        changed = False
+        for (i, j), ov in overlaps.items():
+            dom_j = segments[j].domain()
+            current_i = pieces[i]
+            if ov.kind == "point":
+                t, u = ov.t_self, ov.t_other
+                if any(iv.contains(t) for iv in current_i) and dom_j.contains(u):
+                    if not any(iv.contains(u) for iv in pieces[j]):
+                        pieces[j] = list(union_intervals(pieces[j] + [Interval.point(u)]))
+                        changed = True
+            else:
+                lo, hi = ov.span
+                window = Interval(lo, hi)
+                mapped = []
+                for iv in current_i:
+                    c = iv.intersect(window)
+                    if c is None:
+                        continue
+                    u1 = ov.shift + ov.scale * c.lo
+                    u2 = ov.shift + ov.scale * c.hi
+                    if u1 <= u2:
+                        m = Interval(u1, u2, c.lo_closed, c.hi_closed)
+                    else:
+                        m = Interval(u2, u1, c.hi_closed, c.lo_closed)
+                    md = m.intersect(dom_j)
+                    if md is not None:
+                        mapped.append(md)
+                if mapped:
+                    merged = union_intervals(list(pieces[j]) + mapped)
+                    if merged != tuple(pieces[j]):
+                        pieces[j] = list(merged)
+                        changed = True
+        if not changed:
+            break
+    else:
+        raise InputError("carrier propagation failed to stabilize")
+    return tuple(tuple(p) for p in pieces)

@@ -159,3 +159,29 @@ def test_reversed_interval_exit_1(tmp_path, capsys):
                  "--set", str(pieces)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_ground_without_points_exit_1(tmp_path, capsys):
+    ground = tmp_path / "ground.json"
+    ground.write_text(json.dumps({"type": "finite-ground"}))
+    code = main(["build", "--input", str(ground)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_segment_without_endpoint_exit_1(tmp_path, capsys):
+    ground = tmp_path / "segments.json"
+    ground.write_text(json.dumps({"type": "segment-ground",
+                                  "segments": [{"a": ["0", "0"]}]}))
+    code = main(["segments", "check-i", "--input", str(ground)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_cover_outside_lattice_exit_1(tmp_path, capsys):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"type": "lattice", "elements": [[], [0]],
+                                   "covers": [[0, 5]]}))
+    code = main(["check", "jsd", "--input", str(lattice)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"

@@ -5,17 +5,17 @@ from relconvex import lp
 
 def test_feasible_simple():
     # x + y = 1, x - y = 0  ->  x = y = 1/2
-    assert lp.feasible([[1, 1], [1, -1]], [1, 0])
+    assert lp.maximize([[1, 1], [1, -1]], [1, 0], [0, 0]).status == lp.OPTIMAL
 
 
 def test_infeasible():
     # x + y = 1 and x + y = 2 cannot both hold
-    assert not lp.feasible([[1, 1], [1, 1]], [1, 2])
+    assert lp.maximize([[1, 1], [1, 1]], [1, 2], [0, 0]).status == lp.INFEASIBLE
 
 
 def test_negative_rhs_handled():
     # -x = -3 has the solution x = 3
-    assert lp.feasible([[-1]], [-3])
+    assert lp.maximize([[-1]], [-3], [0]).status == lp.OPTIMAL
 
 
 def test_maximize_bounded():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from oracles import overlapping_pair, propagated_pieces
 
 from relconvex.errors import InputError
 from relconvex.geometry import Segment, VPolytope, qp
@@ -354,3 +355,53 @@ def test_ground_validation():
     s = Segment(qp(0, 0), qp(1, 1))
     with pytest.raises(InputError):
         SegmentUnionGround([s, s])
+
+
+# --- canonical form against the carrier-overlap oracle ----------------------------
+
+def overlap_grounds():
+    pm_open_apex = SegmentUnionGround([
+        Segment(B_PT, C_PT), Segment(P_PT, A_PT, True, False), Segment(M_PT, A_PT)])
+    return {
+        "collinear-partial": SegmentUnionGround([
+            Segment(qp(0, 0), qp(2, 0)), Segment(qp(1, 0), qp(3, 0))]),
+        "collinear-opposite-open": SegmentUnionGround([
+            Segment(qp(0, 0), qp(2, 0), True, False),
+            Segment(qp(3, 0), qp(1, 0), True, False)]),
+        "touch-open-end": SegmentUnionGround([
+            Segment(qp(0, 0), qp(1, 0), True, False), Segment(qp(1, 0), qp(1, 1))]),
+        "touch-closed-end": SegmentUnionGround([
+            Segment(qp(0, 0), qp(1, 0)), Segment(qp(1, 0), qp(2, 1))]),
+        "three-through-one": three_lines_ground(),
+        "cevian-open-apex": pm_open_apex,
+        "collinear-3d-open": SegmentUnionGround([
+            Segment(qp(0, 0, 0), qp(2, 2, 2), False, True),
+            Segment(qp(2, 2, 2), qp("1/2", "1/2", "1/2"), False, False),
+            Segment(qp(1, 1, 1), qp(3, 3, 3), True, False)]),
+        "t-junction": SegmentUnionGround([
+            Segment(qp(-1, 0), qp(1, 0)), Segment(qp(0, 0), qp(0, 1))]),
+    }
+
+
+def random_pieces(k, rng):
+    rows = []
+    for _ in range(k):
+        row = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            lo, hi = sorted(F(rng.randint(0, 8), 8) for _ in range(2))
+            if lo == hi:
+                row.append(Interval.point(lo))
+            else:
+                row.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(overlap_grounds()))
+def test_canonical_form_matches_overlap_oracle(name):
+    g = overlap_grounds()[name]
+    assert check_condition_disjoint(g) == overlapping_pair(g.segments)
+    rng = random.Random(sorted(overlap_grounds()).index(name))
+    for _ in range(40):
+        rows = random_pieces(g.k, rng)
+        assert SubsegmentSet(g, rows).pieces == propagated_pieces(g.segments, rows), rows
