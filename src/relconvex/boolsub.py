@@ -33,6 +33,7 @@ from .geometry import (
 from .lattice import FiniteLattice
 
 MAX_FULL_ENUMERATION = 2
+_SUPPORT_DENOMINATOR = 4      # of the barycentric samples in verify_claim_join
 
 
 def full_mask(n: int) -> int:
@@ -181,13 +182,13 @@ def phi(family: frozenset[int], simplex: VPolytope) -> OpenFaceSet:
 # the join identity
 
 
-def _support_samples(support: int, n: int, max_denominator: int = 4) -> list[tuple[Fraction, ...]]:
+def _support_samples(support: int, n: int) -> list[tuple[Fraction, ...]]:
     """Barycentric vectors with support exactly the given mask and all
-    coordinates of denominator at most max_denominator."""
+    coordinates of denominator at most _SUPPORT_DENOMINATOR."""
     idx = [i for i in range(n + 1) if support >> i & 1]
     m = len(idx)
     out = set()
-    for d in range(m, max_denominator + 1):
+    for d in range(m, _SUPPORT_DENOMINATOR + 1):
         for cut in itertools.combinations(range(1, d), m - 1):
             parts = []
             prev = 0

@@ -24,6 +24,7 @@ from .geometry import Point
 from .linalg import rref_int
 
 DEFAULT_MAX_GROUND = 20
+MAX_SCAN_GROUND = 16
 
 
 class FiniteGround:
@@ -124,22 +125,22 @@ class FiniteGround:
             mask = self._next_closed(mask)
         return out
 
-    def scan_closed_masks(self, max_ground: int = 16) -> list[int]:
+    def scan_closed_masks(self) -> list[int]:
         """Reference enumeration: test every subset for being a fixpoint.
 
         Exponential; kept as the independent cross-check for the lectic
         enumeration on small grounds.
         """
-        if self.n > max_ground:
+        if self.n > MAX_SCAN_GROUND:
             raise ResourceLimitError(
-                f"ground of size {self.n} exceeds the brute-force bound {max_ground}")
+                f"ground of size {self.n} exceeds the brute-force bound {MAX_SCAN_GROUND}")
         return [m for m in range(1 << self.n) if self.closure_mask(m) == m]
 
     def lattice(self, max_ground: int = DEFAULT_MAX_GROUND):
         from .lattice import FiniteLattice
 
         masks = self.enumerate_closed_masks(max_ground)
-        return FiniteLattice.from_closed_masks(masks, ground=self)
+        return FiniteLattice.from_closed_masks(masks)
 
 
 def collinear_ground(values: Sequence, dim: int = 1) -> FiniteGround:

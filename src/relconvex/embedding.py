@@ -156,8 +156,7 @@ def _sets_of_size(n: int, size: int) -> list[frozenset]:
 
 
 def epsilon_search(amount: Fraction, n: int, k: int,
-                   base: Optional[VPolytope] = None,
-                   budget: int = EPSILON_SEARCH_BUDGET) -> Fraction:
+                   base: Optional[VPolytope] = None) -> Fraction:
     """Next-level shrink amount for the schedule.
 
     Starting at amount/2 and halving, accept the first candidate eps such
@@ -175,7 +174,7 @@ def epsilon_search(amount: Fraction, n: int, k: int,
     if size < 2:
         raise InputError("no schedule level below segments")
     candidate = amount / 2
-    for _ in range(budget):
+    for _ in range(EPSILON_SEARCH_BUDGET):
         if _eps_ok(base, n, size, amount, candidate):
             return candidate
         candidate /= 2
@@ -475,8 +474,8 @@ def build_embedding(n: int, *, allow_large: bool = False,
     only there have equal traces and the unrestricted map cannot be
     injective.  The report records both family counts.
 
-    n = 3 sits behind allow_large: its ground has 29 points and the closed-set
-    enumeration plus 2480-element family lattice can take a very long time.
+    n = 3 sits behind allow_large: its ground has 29 points, whose closed-set
+    enumeration runs for minutes; the 2480-element family lattice takes seconds.
     """
     if n not in (1, 2) and not (n == 3 and allow_large):
         raise ResourceLimitError("embedding verification supported for n in {1, 2} "

@@ -194,8 +194,8 @@ def lattice_from_json(data: dict) -> FiniteLattice:
     return FiniteLattice.from_cover_pairs(labels, covers)
 
 
-def lattice_to_dot(lat: FiniteLattice, name: str = "lattice") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
+def lattice_to_dot(lat: FiniteLattice) -> str:
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, lab in enumerate(lat.labels):
         text = _element_to_json(lab)
         lines.append(f'  e{i} [label="{text}"];')
@@ -209,8 +209,8 @@ def lattice_to_dot(lat: FiniteLattice, name: str = "lattice") -> str:
 # SVG (planar configurations)
 
 
-def _fixed_decimal(x: Fraction, digits: int = 3) -> str:
-    scale = 10 ** digits
+def _fixed_decimal(x: Fraction) -> str:
+    scale = 1000
     num = x.numerator * scale
     q, r = divmod(num, x.denominator)
     if r * 2 >= x.denominator:
@@ -218,11 +218,10 @@ def _fixed_decimal(x: Fraction, digits: int = 3) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:03d}"
 
 
-def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None,
-               size: int = 400) -> str:
+def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None) -> str:
     if any(len(p) != 2 for p in points):
         raise InputError("SVG rendering supports planar points only")
     xs = [p[0] for p in points]
@@ -231,6 +230,7 @@ def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None,
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
     pad = span / 10
+    size = 400
 
     def sx(v: Fraction) -> str:
         return _fixed_decimal((v - lo_x + pad) / (span + 2 * pad) * size)

@@ -2,14 +2,16 @@
 
 Elements are indexed 0..n-1 with arbitrary hashable labels.  The order is a
 boolean matrix ``leq`` with ``leq[i, j]`` meaning element i is below element
-j.  Join and meet index tables are computed on demand; for lattices of closed
-sets the tables come from bitmask arithmetic, for abstract lattices from a
-least-upper-bound search that also validates lattice-ness.
+j.  Join and meet index tables are computed on demand by one search, for
+lattices of closed sets and abstract lattices alike: in a linear extension
+the join of i and j is their first common upper bound, found as the lowest
+set bit of the AND of their bit-packed up-sets; the same search on the
+reversed dual order gives meets, and both validate lattice-ness.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -21,29 +23,23 @@ class NotALatticeError(InputError):
 
 
 class FiniteLattice:
-    def __init__(self, labels: Sequence[Hashable], leq: np.ndarray, *,
-                 _join: Optional[np.ndarray] = None,
-                 _meet: Optional[np.ndarray] = None,
-                 ground=None):
+    def __init__(self, labels: Sequence[Hashable], leq: np.ndarray):
         self.labels = list(labels)
         self.n = len(self.labels)
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (self.n, self.n):
             raise InputError("leq matrix shape mismatch")
         self.leq = leq
-        self.ground = ground
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != self.n:
             raise InputError("duplicate element labels")
-        self._join = _join
-        self._meet = _meet
-        self._covers: Optional[np.ndarray] = None
+        self._join = self._meet = self._covers = None    # computed on demand
         self._check_order()
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_closed_masks(cls, masks: Sequence[int], ground=None) -> "FiniteLattice":
+    def from_closed_masks(cls, masks: Sequence[int]) -> "FiniteLattice":
         """Lattice of a closure system: elements are bitmasks ordered by
         inclusion, meet is intersection, join is the least closed superset."""
         order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
@@ -53,24 +49,12 @@ class FiniteLattice:
             raise ResourceLimitError("closed-set masks over more than 63 points "
                                      "do not fit the int64 lattice tables")
         E = np.array(order, dtype=np.int64)
-        L = len(order)
-        leq = (E[None, :] & E[:, None]) == E[:, None]
-        val_order = np.argsort(E, kind="stable")
-        sorted_vals = E[val_order]
-        join = np.empty((L, L), dtype=np.int32)
-        meet = np.empty((L, L), dtype=np.int32)
-        for i in range(L):
-            unions = E[i] | E
-            sup = (E[None, :] & unions[:, None]) == unions[:, None]
-            if not sup.any(axis=1).all():
-                raise NotALatticeError("union without closed superset")
-            join[i] = np.argmax(sup, axis=1)
-            inter = E[i] & E
-            pos = np.searchsorted(sorted_vals, inter)
-            if (pos >= L).any() or (sorted_vals[np.minimum(pos, L - 1)] != inter).any():
+        lat = cls(order, (E[None, :] & E[:, None]) == E[:, None])
+        step = max(1, _BLOCK_BYTES // (8 * lat.n + 1))
+        for s in range(0, lat.n, step):
+            if (E[lat.meet_table[s:s + step]] != E[s:s + step, None] & E).any():
                 raise NotALatticeError("intersection of closed sets not closed")
-            meet[i] = val_order[pos]
-        return cls(order, leq, _join=join, _meet=meet, ground=ground)
+        return lat
 
     @classmethod
     def from_cover_pairs(cls, labels: Sequence[Hashable], covers: Sequence[tuple]) -> "FiniteLattice":
@@ -81,24 +65,18 @@ class FiniteLattice:
         leq = np.eye(n, dtype=bool)
         for lo, hi in covers:
             leq[idx[lo], idx[hi]] = True
-        changed = True
-        while changed:
-            nxt = leq | ((leq.astype(np.float64) @ leq.astype(np.float64)) > 0)
-            changed = bool((nxt != leq).any())
-            leq = nxt
+        for k in range(n):      # Warshall: close under transitivity
+            leq |= leq[:, k, None] & leq[k]
         return cls(labels, leq)
 
     @classmethod
     def chain(cls, k: int) -> "FiniteLattice":
-        leq = np.triu(np.ones((k, k), dtype=bool))
-        return cls(list(range(k)), leq)
+        return cls(list(range(k)), np.triu(np.ones((k, k), dtype=bool)))
 
     @classmethod
     def boolean(cls, k: int) -> "FiniteLattice":
-        masks = list(range(1 << k))
-        E = np.array(masks, dtype=np.int64)
-        leq = (E[None, :] & E[:, None]) == E[:, None]
-        return cls(masks, leq)
+        E = np.arange(1 << k)
+        return cls(E.tolist(), (E[None, :] & E[:, None]) == E[:, None])
 
     @classmethod
     def m3(cls) -> "FiniteLattice":
@@ -152,26 +130,16 @@ class FiniteLattice:
         return int(cols[0])
 
     def _compute_tables(self):
-        n = self.n
+        # Sorting by down-set size gives a linear extension; its reverse is
+        # one of the dual order, in which meets are joins.
         order = np.argsort(self.leq.sum(axis=0), kind="stable")
-        join = np.empty((n, n), dtype=np.int32)
-        meet = np.empty((n, n), dtype=np.int32)
-        geq = self.leq.T
-        for i in range(n):
-            ub = self.leq[i][None, :] & self.leq       # row j: upper bounds of {i, j}
-            if not ub.any(axis=1).all():
-                raise NotALatticeError("pair without upper bound")
-            cand = order[np.argmax(ub[:, order], axis=1)]
-            if (ub & ~self.leq[cand]).any():
-                raise NotALatticeError("pair without least upper bound")
-            join[i] = cand
-            lb = geq[i][None, :] & geq
-            if not lb.any(axis=1).all():
-                raise NotALatticeError("pair without lower bound")
-            cand = order[::-1][np.argmax(lb[:, order[::-1]], axis=1)]
-            if (lb & ~geq[cand]).any():
-                raise NotALatticeError("pair without greatest lower bound")
-            meet[i] = cand
+        join, join_fault = _least_bounds(self.leq, order, "pair without upper bound",
+                                         "pair without least upper bound")
+        meet, meet_fault = _least_bounds(self.leq.T, order[::-1], "pair without lower bound",
+                                         "pair without greatest lower bound")
+        fault = min(filter(None, (join_fault, meet_fault)), key=lambda f: f[0], default=None)
+        if fault:       # the lowest faulty row, its joins before its meets
+            raise NotALatticeError(fault[1])
         self._join, self._meet = join, meet
 
     @property
@@ -201,17 +169,13 @@ class FiniteLattice:
         return self._covers
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        cm = self.covers_matrix()
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(cm))]
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.covers_matrix()))]
 
     def atoms(self) -> list[int]:
-        cm = self.covers_matrix()
-        return [int(j) for j in np.nonzero(cm[self.bottom()])[0]]
+        return [int(j) for j in np.nonzero(self.covers_matrix()[self.bottom()])[0]]
 
     def join_irreducibles(self) -> list[int]:
-        cm = self.covers_matrix()
-        lower_counts = cm.sum(axis=0)
-        return [i for i in range(self.n) if lower_counts[i] == 1]
+        return [int(i) for i in np.nonzero(self.covers_matrix().sum(axis=0) == 1)[0]]
 
     def lower_cover_of(self, i: int) -> int:
         """The unique lower cover of a join-irreducible element."""
@@ -223,3 +187,35 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice({self.n} elements)"
+
+
+# Bytes of packed common upper bounds (or of masks) per row block; the
+# per-pair temporaries add a few times as much, so keep blocks small.
+_BLOCK_BYTES = 1 << 18
+
+
+def _least_bounds(above: np.ndarray, order: np.ndarray, no_bound: str, no_least: str):
+    """(table, None), table[i, j] the least common upper bound of i and j
+    (``above[i, j]``: i <= j), or (None, (i, reason)) for the lowest row i
+    lacking one.  With up-sets packed in the linear extension ``order``, the
+    candidate is the lowest set bit of ``up[i] & up[j]``; it is least iff
+    its own up-set, which lies inside that AND, has the same size."""
+    n = len(order)
+    packed = np.packbits(above[:, order], axis=1, bitorder="little")
+    up = np.zeros((n, -(-n // 64)), dtype="<u8")
+    up.view(np.uint8)[:, :packed.shape[1]] = packed
+    up_size = above.sum(axis=1)
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (up.nbytes + 1))
+    for s in range(0, n, step):
+        common = up[s:s + step, None, :] & up[None, :, :]
+        word = (common != 0).argmax(axis=2)
+        low = np.take_along_axis(common, word[..., None], axis=2)[..., 0]
+        least = order[64 * word + np.frexp((low & (~low + np.uint64(1))).astype(float))[1] - 1]
+        size = np.bitwise_count(common).sum(axis=2)
+        bad = (size != up_size[least]).any(axis=1)
+        if bad.any():
+            row = int(bad.argmax())
+            return None, (s + row, no_bound if (size[row] == 0).any() else no_least)
+        table[s:s + step] = least
+    return table, None

@@ -303,8 +303,7 @@ def _face_samples(fverts) -> list[Point]:
     return sorted(out)
 
 
-def face_hom_check(ground_points: Sequence[Point], poly: VPolytope, face,
-                   max_ground: int = 12) -> dict:
+def face_hom_check(ground_points: Sequence[Point], poly: VPolytope, face) -> dict:
     """The trace map A -> A ∩ F between the closed-set lattices of X and
     X ∩ F: surjective, join- and meet-preserving, checked on all pairs."""
     fverts = face.vertices if hasattr(face, "vertices") else tuple(face)
@@ -313,14 +312,14 @@ def face_hom_check(ground_points: Sequence[Point], poly: VPolytope, face,
         if not hull_member(p, poly.vertices):
             raise InputError("ground must be contained in the polytope")
     g = FiniteGround(pts)
-    lat = g.lattice(max_ground)
+    lat = g.lattice()
     on_face = [i for i, p in enumerate(pts) if hull_member(p, fverts)]
     report = {"trace_closed": True, "joins": True, "meets": True, "surjective": True}
     if not on_face:
         report["face_ground_empty"] = True
         return report
     gf = FiniteGround([pts[i] for i in on_face])
-    latf = gf.lattice(max_ground)
+    latf = gf.lattice()
     reindex = {orig: new for new, orig in enumerate(on_face)}
 
     def trace(mask: int) -> int:

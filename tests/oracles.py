@@ -7,10 +7,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from relconvex import linalg, lp
 from relconvex.errors import InputError
 from relconvex.geometry import Point, Segment, VPolytope, sub
 from relconvex.intervals import Interval, union_intervals
+from relconvex.lattice import NotALatticeError
 
 
 def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
@@ -209,3 +212,55 @@ def propagated_pieces(segments: Sequence[Segment], pieces) -> tuple:
     else:
         raise InputError("carrier propagation failed to stabilize")
     return tuple(tuple(p) for p in pieces)
+
+
+def mask_tables_reference(masks: Sequence[int]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Closed sets in ``(popcount, mask)`` order with their join and meet
+    tables from bitmask arithmetic: join is the first closed superset of the
+    union, meet is the closed set equal to the intersection."""
+    order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    E = np.array(order, dtype=np.int64)
+    L = len(order)
+    val_order = np.argsort(E, kind="stable")
+    sorted_vals = E[val_order]
+    join = np.empty((L, L), dtype=np.int32)
+    meet = np.empty((L, L), dtype=np.int32)
+    for i in range(L):
+        unions = E[i] | E
+        sup = (E[None, :] & unions[:, None]) == unions[:, None]
+        if not sup.any(axis=1).all():
+            raise NotALatticeError("union without closed superset")
+        join[i] = np.argmax(sup, axis=1)
+        inter = E[i] & E
+        pos = np.searchsorted(sorted_vals, inter)
+        if (pos >= L).any() or (sorted_vals[np.minimum(pos, L - 1)] != inter).any():
+            raise NotALatticeError("intersection of closed sets not closed")
+        meet[i] = val_order[pos]
+    return order, join, meet
+
+
+def lub_tables_reference(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Join and meet tables of an order matrix by an unpacked search: the
+    first common upper bound in a linear extension, checked to lie below
+    every other, and dually for meets."""
+    n = len(leq)
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    join = np.empty((n, n), dtype=np.int32)
+    meet = np.empty((n, n), dtype=np.int32)
+    geq = leq.T
+    for i in range(n):
+        ub = leq[i][None, :] & leq       # row j: upper bounds of {i, j}
+        if not ub.any(axis=1).all():
+            raise NotALatticeError("pair without upper bound")
+        cand = order[np.argmax(ub[:, order], axis=1)]
+        if (ub & ~leq[cand]).any():
+            raise NotALatticeError("pair without least upper bound")
+        join[i] = cand
+        lb = geq[i][None, :] & geq
+        if not lb.any(axis=1).all():
+            raise NotALatticeError("pair without lower bound")
+        cand = order[::-1][np.argmax(lb[:, order[::-1]], axis=1)]
+        if (lb & ~geq[cand]).any():
+            raise NotALatticeError("pair without greatest lower bound")
+        meet[i] = cand
+    return join, meet

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from relconvex.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -185,3 +187,31 @@ def test_cover_outside_lattice_exit_1(tmp_path, capsys):
     code = main(["check", "jsd", "--input", str(lattice)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_document_not_an_object_exit_1(tmp_path, capsys):
+    doc = tmp_path / "list.json"
+    doc.write_text("[]")
+    code = main(["check", "jsd", "--input", str(doc)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+# orders that are not lattices: Λ has no top, V no bottom, and in the bowtie
+# a and b have the two upper bounds c and d but no least one
+NON_LATTICES = {
+    "lambda": (["0", "a", "b"], [[0, 1], [0, 2]], "pair without upper bound"),
+    "vee": (["a", "b", "1"], [[0, 2], [1, 2]], "pair without lower bound"),
+    "bowtie": (["a", "b", "c", "d"], [[0, 2], [0, 3], [1, 2], [1, 3]],
+               "pair without least upper bound"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_LATTICES))
+def test_check_jsd_on_non_lattice_exit_1(tmp_path, capsys, name):
+    elements, covers, reason = NON_LATTICES[name]
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(json.dumps({"type": "lattice", "elements": elements, "covers": covers}))
+    code = main(["check", "jsd", "--input", str(doc)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "input", "reason": reason}

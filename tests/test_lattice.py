@@ -1,0 +1,121 @@
+"""Join and meet tables of FiniteLattice against the two reference builders
+in oracles.py: bitmask arithmetic for closure systems, and the unpacked
+least-upper-bound search for any order."""
+
+import random
+
+import numpy as np
+import pytest
+
+from oracles import lub_tables_reference, mask_tables_reference
+from relconvex import lattice as lattice_module
+from relconvex.boolsub import _family_code, iter_meet_subsemilattices
+from relconvex.lattice import FiniteLattice, NotALatticeError
+from test_closure import random_ground
+
+
+@pytest.fixture(params=["one-block", "row-blocks"])
+def blocks(request, monkeypatch):
+    """Build tables in one block, or one row per block."""
+    if request.param == "row-blocks":
+        monkeypatch.setattr(lattice_module, "_BLOCK_BYTES", 1)
+
+
+def assert_lub_reference(lat: FiniteLattice):
+    join, meet = lub_tables_reference(lat.leq)
+    assert (lat.join_table == join).all()
+    assert (lat.meet_table == meet).all()
+
+
+def assert_mask_reference(lat: FiniteLattice, masks):
+    """``masks[i]`` is the closed set of element i, in any index order."""
+    order, join, meet = mask_tables_reference(masks)
+    at = np.array([masks.index(m) for m in order])
+    assert (lat.join_table[np.ix_(at, at)] == at[join]).all()
+    assert (lat.meet_table[np.ix_(at, at)] == at[meet]).all()
+
+
+def closure_systems():
+    rng = random.Random(6)
+    for k in range(24):
+        g = random_ground(rng, rng.randint(4, 9), dim=1 + k % 3)
+        yield f"ground{k}", g.enumerate_closed_masks()
+    families = list(iter_meet_subsemilattices(2))
+    full = 0b111
+    yield "n2-families", [_family_code(f) for f in families]
+    yield "n2-families-with-top", [_family_code(f) for f in families if full in f]
+
+
+@pytest.mark.parametrize("name,masks", list(closure_systems()))
+def test_closure_system_tables_match_both_references(name, masks):
+    lat = FiniteLattice.from_closed_masks(masks)
+    assert_mask_reference(lat, lat.labels)
+    assert_lub_reference(lat)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shuffled_cover_pairs_match_both_references(seed, blocks):
+    """Abstract lattices whose index order is not a linear extension."""
+    rng = random.Random(seed)
+    closed = FiniteLattice.from_closed_masks(
+        random_ground(rng, rng.randint(4, 8), dim=1 + seed % 3).enumerate_closed_masks())
+    masks = list(closed.labels)
+    rng.shuffle(masks)
+    lat = FiniteLattice.from_cover_pairs(
+        masks, [(closed.labels[i], closed.labels[j]) for i, j in closed.cover_pairs()])
+    assert np.tril(lat.leq, -1).any()
+    assert_mask_reference(lat, masks)
+    assert_lub_reference(lat)
+
+
+@pytest.mark.parametrize("lat", [FiniteLattice.m3(), FiniteLattice.n5(), FiniteLattice.chain(1),
+                                 FiniteLattice.chain(6), FiniteLattice.boolean(0),
+                                 FiniteLattice.boolean(4)],
+                         ids=["m3", "n5", "chain1", "chain6", "boolean0", "boolean4"])
+def test_named_lattices_match_lub_reference(lat):
+    assert_lub_reference(lat)
+
+
+def test_boolean_matches_mask_reference():
+    lat = FiniteLattice.boolean(5)
+    assert_mask_reference(lat, lat.labels)
+
+
+def random_order(rng, n):
+    """Transitive closure of random edges from lower to higher index, under
+    a random relabelling."""
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i, j] = rng.random() < 0.3
+    for _ in range(n):
+        leq = leq | ((leq.astype(int) @ leq.astype(int)) > 0)
+    perm = np.array(rng.sample(range(n), n))
+    return leq[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_orders_fail_with_the_reference_reason(seed, blocks):
+    rng = random.Random(seed)
+    reasons = set()
+    for _ in range(60):
+        leq = random_order(rng, rng.randint(1, 9))
+        try:
+            expected = lub_tables_reference(leq)
+        except NotALatticeError as exc:
+            with pytest.raises(NotALatticeError) as got:
+                FiniteLattice(range(len(leq)), leq).join_table
+            assert str(got.value) == str(exc)
+            reasons.add(str(exc))
+            continue
+        lat = FiniteLattice(range(len(leq)), leq)
+        assert (lat.join_table == expected[0]).all()
+        assert (lat.meet_table == expected[1]).all()
+    assert len(reasons) >= 2
+
+
+def test_lattice_under_inclusion_that_is_no_closure_system():
+    # {∅, {0,1}, {0,2}, {0,1,2}} is a lattice under inclusion, but the meet
+    # of {0,1} and {0,2} is ∅, not their intersection {0}
+    with pytest.raises(NotALatticeError, match="intersection of closed sets not closed"):
+        FiniteLattice.from_closed_masks([0, 3, 5, 7])
