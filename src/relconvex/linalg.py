@@ -1,7 +1,8 @@
 """Exact linear algebra on small dense systems.
 
-All elimination runs fraction-free on Python ``int`` in one kernel,
-:func:`rref_int` (Bareiss's integer-preserving Gauss-Jordan).  The rational
+All elimination runs fraction-free on Python ``int`` in one step,
+:func:`bareiss_step` (Bareiss's integer-preserving pivot), which both
+:func:`rref_int` and the simplex in :mod:`relconvex.lp` apply.  The rational
 API below clears denominators row by row, which leaves the reduced row
 echelon form unchanged, and builds ``Fraction`` values only on the way out.
 """
@@ -15,14 +16,29 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 
 
+def bareiss_step(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Pivot the integer rows on ``rows[r][c]`` in place; returns the pivot.
+
+    Every other row becomes (p * row - f * rows[r]) // d, where p is the
+    pivot, f the row's entry in column c and d the previous pivot; by
+    Sylvester's identity the division is exact (Bareiss 1968).  A row with
+    f == 0 is left as it is when p == d.
+    """
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and (f or p != d):
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+    return p
+
+
 def rref_int(matrix: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
     Returns (rows, pivot column indices, det), where det is the last pivot:
     the determinant of the pivot rows and columns, or 1 when there is no
-    pivot.  Each step replaces every other row by (p * row - f * pivot_row)
-    / d, where p is the new pivot and d the previous one; by Sylvester's
-    identity the division is exact (Bareiss 1968).  At the end every pivot
+    pivot.  Each step is one :func:`bareiss_step`.  At the end every pivot
     entry equals ``det``, the other entries of a pivot column are zero, rows
     past the rank are zero, and the reduced row echelon form is
     ``rows / det``.
@@ -39,13 +55,7 @@ def rref_int(matrix: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(p * a - f * b) // det for a, b in zip(rows[i], top)]
-        det = p
+        det = bareiss_step(rows, r, c, det)
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -61,6 +61,123 @@ def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
     return res.status == lp.OPTIMAL and res.objective > 0
 
 
+def _pivot(rows, obj, basis, r: int, c: int) -> None:
+    piv = rows[r][c]
+    inv = Fraction(1) / piv
+    rows[r] = [v * inv for v in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * p for a, p in zip(row, prow)]
+    if obj[c] != 0:
+        f = obj[c]
+        obj[:] = [a - f * p for a, p in zip(obj, prow)]
+    basis[r] = c
+
+
+def _run_simplex(rows, obj, basis, ncols: int) -> str:
+    """Bland-rule simplex loop on a tableau already in canonical form.
+
+    ``obj`` holds reduced costs for a maximization; the last entry is the
+    negated objective value.  Returns OPTIMAL or UNBOUNDED.
+    """
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return lp.OPTIMAL
+        leave = -1
+        best: Optional[Fraction] = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return lp.UNBOUNDED
+        _pivot(rows, obj, basis, leave, enter)
+
+
+def maximize_reference(A: Sequence[Sequence], b: Sequence, c: Sequence) -> lp.LPResult:
+    """The two-phase Bland simplex pivoting on ``Fraction``: maximize c.x
+    subject to A x = b, x >= 0.  ``lp.maximize`` must take the same pivots
+    and give the same answer."""
+    rows = [[Fraction(v) for v in row] for row in A]
+    rhs = [Fraction(v) for v in b]
+    cost = [Fraction(v) for v in c]
+    m = len(rows)
+    n = len(cost)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("constraint row length does not match objective")
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match constraint count")
+
+    # Phase one: artificial basis, maximize minus the artificial mass.
+    tab = []
+    for i in range(m):
+        row = list(rows[i])
+        if rhs[i] < 0:
+            row = [-v for v in row]
+            rhs_i = -rhs[i]
+        else:
+            rhs_i = rhs[i]
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tab.append(row + art + [rhs_i])
+    basis = [n + i for i in range(m)]
+    ncols = n + m
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(n):
+        obj[j] = sum(tab[i][j] for i in range(m))
+    obj[-1] = sum(tab[i][-1] for i in range(m))
+
+    status = _run_simplex(tab, obj, basis, ncols)
+    assert status == lp.OPTIMAL  # phase-one objective is bounded by 0
+    if obj[-1] != 0:
+        return lp.LPResult(lp.INFEASIBLE)
+
+    # Drive leftover artificial variables out of the basis.
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv_col = -1
+            for j in range(n):
+                if tab[i][j] != 0:
+                    piv_col = j
+                    break
+            if piv_col >= 0:
+                _pivot(tab, obj, basis, i, piv_col)
+                keep.append(i)
+            # else: redundant row, drop it below
+        else:
+            keep.append(i)
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # Phase two.
+    obj = cost + [Fraction(0)]
+    for i, bv in enumerate(basis):
+        if obj[bv] != 0:
+            f = obj[bv]
+            obj = [a - f * p for a, p in zip(obj, tab[i])]
+    status = _run_simplex(tab, obj, basis, n)
+    if status == lp.UNBOUNDED:
+        return lp.LPResult(lp.UNBOUNDED)
+
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        x[bv] = tab[i][-1]
+    value = sum(ci * xi for ci, xi in zip(cost, x))
+    return lp.LPResult(lp.OPTIMAL, x, value)
+
+
 def rref_reference(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form by Gauss-Jordan on ``Fraction``; returns
     (rows, pivot column indices)."""

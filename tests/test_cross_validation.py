@@ -57,26 +57,20 @@ def test_strict_membership_dense_witness_scan_cevians():
     gens = MixedGenerators(segments=(base, cevian))
     grid = [(F(i, 4), F(j, 4)) for i in range(-4, 5) for j in range(0, 9)]
     samples = 16
+    scan = set()
+    for mu_n in range(samples + 1):
+        mu = F(mu_n, samples)
+        for wn in range(samples + 1):
+            w = base.at(F(wn, samples))
+            for zn in range(1, samples):
+                z = cevian.at(F(zn, samples))
+                scan.add(tuple(mu * wc + (1 - mu) * zc for wc, zc in zip(w, z)))
     for q in grid:
         by_lp = strict_hull_member(q, gens)
-        by_scan = False
-        for mu_n in range(samples + 1):
-            mu = F(mu_n, samples)
-            for wn in range(samples + 1):
-                w = base.at(F(wn, samples))
-                for zn in range(1, samples):
-                    z = cevian.at(F(zn, samples))
-                    if q == tuple(mu * wc + (1 - mu) * zc for wc, zc in zip(w, z)):
-                        by_scan = True
-                        break
-                if by_scan:
-                    break
-            if by_scan:
-                break
         # the scan underapproximates (witness parameters are quantized): it
         # may miss members, but a scan hit must be an LP hit, and an LP hit
         # must at least be a closed-hull member
-        if by_scan:
+        if q in scan:
             assert by_lp
         if by_lp:
             assert hull_member(q, [b, c, p, a])
