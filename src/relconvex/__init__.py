@@ -24,7 +24,6 @@ from .analysis import (
 )
 from .boolsub import (
     OpenFaceSet,
-    enumerate_subm,
     meet_closure,
     phi,
     psi,

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .analysis import (
     D_CYCLE,
@@ -262,6 +262,15 @@ def criterion_7_condition_checkers() -> tuple[bool, str]:
     return True, "both conditions behave on all three fixtures"
 
 
+def _random_combination(rng: random.Random, verts: Sequence[Point]) -> Point:
+    """The combination of verts with weights drawn from 0..3, over their sum
+    (the origin when every weight is 0)."""
+    w = [Fraction(rng.randint(0, 3)) for _ in verts]
+    tot = sum(w) or Fraction(1)
+    return tuple(sum(wi * v[k] for wi, v in zip(w, verts)) / tot
+                 for k in range(len(verts[0])))
+
+
 def criterion_8_face_restriction_suite() -> tuple[bool, str]:
     rng = random.Random(808)
     zoo = [
@@ -275,16 +284,10 @@ def criterion_8_face_restriction_suite() -> tuple[bool, str]:
         proper = [f for f in poly.faces() if f.is_proper and len(f.indices) >= 2]
         face = proper[rng.randrange(len(proper))]
         if idx % 7 == 0:
-            dim = poly.dim_ambient
-            verts = poly.vertices
-            def rand_pt():
-                w = [Fraction(rng.randint(0, 3)) for _ in verts]
-                tot = sum(w) or Fraction(1)
-                return tuple(sum(wi * v[k] for wi, v in zip(w, verts)) / tot
-                             for k in range(dim))
             segs = []
             while len(segs) < 2:
-                p1, p2 = rand_pt(), rand_pt()
+                p1 = _random_combination(rng, poly.vertices)
+                p2 = _random_combination(rng, poly.vertices)
                 if p1 != p2:
                     segs.append(Segment(p1, p2))
             ground = SegmentUnionGround(segs)
@@ -293,14 +296,7 @@ def criterion_8_face_restriction_suite() -> tuple[bool, str]:
                 [Interval(Fraction(1, 4), Fraction(1), False, True)],
             ])
         else:
-            dim = poly.dim_ambient
-            verts = poly.vertices
-            y = []
-            for _ in range(rng.randint(1, 6)):
-                w = [Fraction(rng.randint(0, 3)) for _ in verts]
-                tot = sum(w) or Fraction(1)
-                y.append(tuple(sum(wi * v[k] for wi, v in zip(w, verts)) / tot
-                               for k in range(dim)))
+            y = [_random_combination(rng, poly.vertices) for _ in range(rng.randint(1, 6))]
         if not face_restriction_check(y, poly, face):
             return False, f"face restriction failed at instance {idx}"
         checked += 1
@@ -310,10 +306,7 @@ def criterion_8_face_restriction_suite() -> tuple[bool, str]:
     for _ in range(20):
         pts = {tri.vertices[i] for i in edge.indices}
         while len(pts) < rng.randint(4, 7):
-            w = [Fraction(rng.randint(0, 3)) for _ in tri.vertices]
-            tot = sum(w) or Fraction(1)
-            pts.add(tuple(sum(wi * v[k] for wi, v in zip(w, tri.vertices)) / tot
-                          for k in range(2)))
+            pts.add(_random_combination(rng, tri.vertices))
         rep = face_hom_check(sorted(pts), tri, edge)
         if not (rep["trace_closed"] and rep["joins"] and rep["meets"] and rep["surjective"]):
             return False, f"trace homomorphism defect: {rep}"

@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .lattice import FiniteLattice
 
-MAX_FULL_ENUMERATION = 2
 _SUPPORT_DENOMINATOR = 4      # of the barycentric samples in verify_claim_join
 
 
@@ -70,15 +69,6 @@ def iter_meet_subsemilattices(n: int) -> Iterator[frozenset[int]]:
             yield frozenset(members)
 
 
-def enumerate_subm(n: int) -> list[frozenset[int]]:
-    """Full enumeration of the meet-closed families (n <= 2)."""
-    if n > MAX_FULL_ENUMERATION:
-        raise ResourceLimitError(
-            f"full enumeration limited to n <= {MAX_FULL_ENUMERATION}; "
-            "use iter_meet_subsemilattices")
-    return list(iter_meet_subsemilattices(n))
-
-
 def _family_code(family: frozenset[int]) -> int:
     code = 0
     for m in family:
@@ -96,11 +86,17 @@ def subm_lattice(n: int, families: Optional[Iterable[frozenset[int]]] = None) ->
     Meet is intersection and join is the meet-closure of the union; the
     families form a closure system over the 2^(n+1) subsets, so the lattice
     is built from family bitcodes.  Pass ``families`` to build the lattice of
-    a sub-collection (it must itself be closed under meet and join).
+    a sub-collection (it must itself be closed under meet and join).  Without
+    ``families`` the lattice of all families is built for n <= 2 only: for
+    n = 3 its 4960 elements need about 200 MB of tables.
     """
-    fams = list(families) if families is not None else enumerate_subm(n)
+    if families is None:
+        if n > 2:
+            raise ResourceLimitError("full family lattice limited to n <= 2; "
+                                     "pass families")
+        families = iter_meet_subsemilattices(n)
     size = 1 << (n + 1)
-    codes = sorted(_family_code(f) for f in fams)
+    codes = sorted(_family_code(f) for f in families)
     lat = FiniteLattice.from_closed_masks(codes)
     return lat.relabel([_code_family(c, size) for c in lat.labels])
 

@@ -208,7 +208,7 @@ def cmd_segments(args) -> int:
                    "a_join_b": rio.subsegment_set_to_json(info["a_join_b"]),
                    "a_join_meet": rio.subsegment_set_to_json(info["a_join_meet"])}
     report = _report(args, "segment-semidistributivity", ok, witness,
-                     extra={"triples": len(triples) if triples else args.count})
+                     extra={"triples": len(triples) if triples is not None else args.count})
     _write(args, "segments_sdv.json", rio.dumps(report))
     return EXIT_OK if ok else EXIT_VIOLATION
 

@@ -36,7 +36,6 @@ from .geometry import (
     interpolate,
     standard_simplex,
     strict_hull_member,
-    sub,
 )
 from .lattice import FiniteLattice
 
@@ -48,15 +47,13 @@ def shrink(poly: VPolytope, ratio: Fraction) -> VPolytope:
     ratio = Fraction(ratio)
     if not 0 < ratio <= 1:
         raise InputError("shrink ratio must lie in (0, 1]")
-    b = poly.barycenter()
-    pts = [interpolate(b, v, ratio) for v in poly.vertices]
-    return VPolytope(pts, assume_extreme=True)
+    pts = _shrink_labeled(dict(enumerate(poly.vertices)), 1 - ratio)
+    return VPolytope(list(pts.values()), assume_extreme=True)
 
 
 def _shrink_labeled(points: dict[int, Point], amount: Fraction) -> dict[int, Point]:
     """Shrink by amount (ratio 1 - amount), keeping the vertex labels."""
-    vals = list(points.values())
-    b = centroid(vals)
+    b = centroid(list(points.values()))
     ratio = 1 - amount
     return {i: interpolate(b, p, ratio) for i, p in points.items()}
 
@@ -71,61 +68,24 @@ class Construction:
     center: Point
     copies: dict[frozenset, dict[int, Point]] = field(default_factory=dict)
 
-    def level(self, A: frozenset) -> int:
-        return self.n + 1 - len(A)
-
-    def amount_for(self, A: frozenset) -> Fraction:
-        return self.amounts[self.level(A)]
-
-    def copy_vertex(self, i: int, A: frozenset) -> Point:
-        return self.copies[A][i]
-
-    def copy_polytope(self, A: frozenset) -> VPolytope:
-        return VPolytope(list(self.copies[A].values()), assume_extreme=True)
-
-    def p_point(self, i: int, A: frozenset, j: int) -> Point:
-        return p_point(self.base, i, A, j, 1 - self.amount_for(A))
-
-    def t_polytope(self, A: frozenset, j: int) -> VPolytope:
-        return t_polytope(self.base, A, 1 - self.amount_for(A), j)
-
-    def u_polytope(self, A: frozenset, i: int) -> VPolytope:
-        return u_polytope(self.base, A, 1 - self.amount_for(A), i)
-
 
 def p_point(base: VPolytope, i: int, A: frozenset, j: int, ratio: Fraction) -> Point:
     """Unique intersection of the edge [p_i, p_j] with the affine hull of the
-    shrunken vertices of A minus j.  Lies strictly between p_i and p_j."""
+    shrunken vertices of A minus j.  Lies strictly between p_i and p_j.
+
+    Shrinking the face on A by ratio about its barycenter gives every
+    shrunken vertex other than p_j the barycentric coordinate
+    (1 - ratio)/|A| at p_j, so their affine hull is the level set of that
+    coordinate, and the edge meets it at p_i + tau (p_j - p_i) with
+    tau = (1 - ratio)/|A|, which lies in (0, 1/2).  This needs the vertices
+    of A to be affinely independent, as the vertices of a simplex are.
+    """
     ratio = Fraction(ratio)
     if not 0 < ratio < 1:
         raise InputError("p-point requires a ratio strictly inside (0, 1)")
     if i == j or i not in A or j not in A or len(A) < 2:
         raise InputError("p-point needs distinct i, j inside A with |A| >= 2")
-    verts = base.vertices
-    labeled = {k: verts[k] for k in sorted(A)}
-    shrunk = _shrink_labeled(labeled, 1 - ratio)
-    hull_pts = [shrunk[k] for k in sorted(A - {j})]
-    pi, pj = verts[i], verts[j]
-    direction = sub(pj, pi)
-    n = base.dim_ambient
-    ncols = len(hull_pts) + 1
-    rows = []
-    rhs = []
-    for k in range(n):
-        rows.append([q[k] for q in hull_pts] + [-direction[k]])
-        rhs.append(pi[k])
-    rows.append([Fraction(1)] * len(hull_pts) + [Fraction(0)])
-    rhs.append(Fraction(1))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise ConstructionError(f"edge [{i},{j}] misses the shrunken hull of {sorted(A)}")
-    part, null = sol
-    if any(vec[ncols - 1] != 0 for vec in null):
-        raise ConstructionError(f"intersection of edge [{i},{j}] with hull not unique")
-    tau = part[ncols - 1]
-    if not 0 < tau < 1:
-        raise ConstructionError("p-point fell outside the open edge")
-    return interpolate(pi, pj, tau)
+    return interpolate(base.vertices[i], base.vertices[j], (1 - ratio) / len(A))
 
 
 def t_polytope(base: VPolytope, A: frozenset, ratio: Fraction, j: int) -> VPolytope:
@@ -155,9 +115,8 @@ def _sets_of_size(n: int, size: int) -> list[frozenset]:
     return [frozenset(c) for c in itertools.combinations(range(n + 1), size)]
 
 
-def epsilon_search(amount: Fraction, n: int, k: int,
-                   base: Optional[VPolytope] = None) -> Fraction:
-    """Next-level shrink amount for the schedule.
+def epsilon_search(amount: Fraction, n: int, k: int) -> Fraction:
+    """Next-level shrink amount for the schedule on the standard n-simplex.
 
     Starting at amount/2 and halving, accept the first candidate eps such
     that, for every A on n+1-k vertices and every i in A, each shrunken
@@ -168,11 +127,10 @@ def epsilon_search(amount: Fraction, n: int, k: int,
     as well.
     """
     amount = Fraction(amount)
-    if base is None:
-        base = standard_simplex(n)
     size = n + 1 - k
     if size < 2:
         raise InputError("no schedule level below segments")
+    base = standard_simplex(n)
     candidate = amount / 2
     for _ in range(EPSILON_SEARCH_BUDGET):
         if _eps_ok(base, n, size, amount, candidate):
@@ -183,19 +141,11 @@ def epsilon_search(amount: Fraction, n: int, k: int,
 
 def _eps_ok(base: VPolytope, n: int, size: int, amount: Fraction, eps: Fraction) -> bool:
     verts = base.vertices
+    ratio = 1 - amount
     for A in _sets_of_size(n, size):
-        ratio = 1 - amount
-        u_polys = {}
-        excluded = {}
-        for m in A:
-            pts = [verts[m]] + [p_point(base, m, A, j, ratio) for j in sorted(A - {m})]
-            u_polys[m] = VPolytope(pts)
-            excluded[m] = set(pts[1:])
-        copies = {}
-        for i in A:
-            face = A - {i}
-            labeled = {m: verts[m] for m in face}
-            copies[i] = _shrink_labeled(labeled, eps) if len(face) > 1 else dict(labeled)
+        u_polys = {m: u_polytope(base, A, ratio, m) for m in A}
+        excluded = {m: {p_point(base, m, A, j, ratio) for j in A - {m}} for m in A}
+        copies = {i: _shrink_labeled({m: verts[m] for m in A - {i}}, eps) for i in A}
         for i in A:
             for m, q in copies[i].items():
                 if q in excluded[m]:
@@ -230,7 +180,7 @@ def build_construction(n: int, amounts: Optional[Sequence[Fraction]] = None) -> 
     if amounts is None:
         sched: list[Fraction] = [Fraction(1, 2)]
         for k in range(n - 1):
-            sched.append(epsilon_search(sched[k], n, k, base))
+            sched.append(epsilon_search(sched[k], n, k))
         sched.append(Fraction(0))
     else:
         sched = [Fraction(a) for a in amounts]
@@ -242,9 +192,7 @@ def build_construction(n: int, amounts: Optional[Sequence[Fraction]] = None) -> 
     ctor = Construction(n=n, base=base, amounts=sched, center=centroid(verts))
     for size in range(1, n + 2):
         for A in _sets_of_size(n, size):
-            labeled = {i: verts[i] for i in A}
-            amount = sched[n + 1 - size]
-            ctor.copies[A] = _shrink_labeled(labeled, amount) if size > 1 else labeled
+            ctor.copies[A] = _shrink_labeled({i: verts[i] for i in A}, sched[n + 1 - size])
     return ctor
 
 
@@ -322,15 +270,16 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
     """
     rep = LemmaReport()
     n = ctor.n
-    verts = ctor.base.vertices
+    base = ctor.base
+    verts = base.vertices
     for size in range(2, n + 2):
         for A in _sets_of_size(n, size):
-            amount = ctor.amounts[n + 1 - size]
+            ratio = 1 - ctor.amounts[n + 1 - size]
             copy = ctor.copies[A]
-            p_pts = {(i, j): ctor.p_point(i, A, j)
+            p_pts = {(i, j): p_point(base, i, A, j, ratio)
                      for j in A for i in A - {j}}
-            t_polys = {j: ctor.t_polytope(A, j) for j in A}
-            u_polys = {i: ctor.u_polytope(A, i) for i in A}
+            t_polys = {j: t_polytope(base, A, ratio, j) for j in A}
+            u_polys = {i: u_polytope(base, A, ratio, i) for i in A}
 
             for j in sorted(A):
                 f = _affine_functional([verts[k] for k in sorted(A - {j})], verts[j])
@@ -404,9 +353,9 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
         for B in subsets:
             if A < B:
                 for i in sorted(A):
-                    small = (ctor.u_polytope(A, i) if len(A) >= 2
-                             else VPolytope([verts[i]]))
-                    big = ctor.u_polytope(B, i)
+                    small = (u_polytope(base, A, 1 - ctor.amounts[n + 1 - len(A)], i)
+                             if len(A) >= 2 else VPolytope([verts[i]]))
+                    big = u_polytope(base, B, 1 - ctor.amounts[n + 1 - len(B)], i)
                     ok = all(hull_member(w, big.vertices) for w in small.vertices)
                     rep.add("corner-monotone", (tuple(sorted(A)), tuple(sorted(B)), i), ok)
     return rep
@@ -430,7 +379,7 @@ def build_ground_set(n: int, amounts: Optional[Sequence[Fraction]] = None):
     for size in range(1, n + 1):
         for A in _sets_of_size(n, size):
             for i in sorted(A):
-                pts.append(ctor.copy_vertex(i, A))
+                pts.append(ctor.copies[A][i])
                 labels.append((i, tuple(sorted(A))))
     if len(set(pts)) != len(pts):
         raise ConstructionError("ground points collide")

@@ -80,6 +80,12 @@ class Segment:
     def domain(self) -> Interval:
         return Interval(Fraction(0), Fraction(1), self.a_closed, self.b_closed)
 
+    def piece(self, iv: Interval) -> Union[Point, "Segment"]:
+        """The points with parameter in iv: one point or a sub-segment."""
+        if iv.is_point:
+            return self.at(iv.lo)
+        return Segment(self.at(iv.lo), self.at(iv.hi), iv.lo_closed, iv.hi_closed)
+
 
 @dataclass(frozen=True)
 class MixedGenerators:
@@ -257,30 +263,30 @@ def _combo_lp(groups, target: Union[Point, Segment], mode: str):
     rows = []
     rhs = []
     for k in range(len(origin)):
-        row = [p[k] for p, _ in atoms] + [Fraction(0)] * (ncols - nγ)
+        row = [p[k] for p, _ in atoms] + [0] * (ncols - nγ)
         if seg:
             row[tau_col] = seg.a[k] - seg.b[k]
         rows.append(row)
         rhs.append(origin[k])
-    rows.append([Fraction(1)] * nγ + [Fraction(0)] * (ncols - nγ))
-    rhs.append(Fraction(1))
+    rows.append([1] * nγ + [0] * (ncols - nγ))
+    rhs.append(1)
     if seg:
-        row = [Fraction(0)] * ncols
-        row[tau_col] = row[tau_col + 1] = Fraction(1)
+        row = [0] * ncols
+        row[tau_col] = row[tau_col + 1] = 1
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
     for t, j in enumerate(strict_idx):
-        row = [Fraction(0)] * ncols
-        row[j] = Fraction(1)
-        row[s_col] = Fraction(-1)
-        row[s_col + 1 + t] = Fraction(-1)
+        row = [0] * ncols
+        row[j] = 1
+        row[s_col] = -1
+        row[s_col + 1 + t] = -1
         rows.append(row)
-        rhs.append(Fraction(0))
-    c = [Fraction(0)] * ncols
+        rhs.append(0)
+    c = [0] * ncols
     if strict_idx:
-        c[s_col] = Fraction(1)
+        c[s_col] = 1
     elif mode != "strict":
-        c[tau_col] = Fraction(1) if mode == "max" else Fraction(-1)
+        c[tau_col] = 1 if mode == "max" else -1
     res = lp.maximize(rows, rhs, c)
     if mode == "strict":
         return res.status == lp.OPTIMAL and (not strict_idx or res.objective > 0)
@@ -471,13 +477,7 @@ def segment_hull_param_intervals(seg: Segment, gens: MixedGenerators) -> tuple[I
 
 def segment_hull_intersection(seg: Segment, gens: MixedGenerators) -> list[Union[Segment, Point]]:
     """The set {x in seg : strict_hull_member(x, gens)} as segments/points."""
-    out: list[Union[Segment, Point]] = []
-    for iv in segment_hull_param_intervals(seg, gens):
-        if iv.is_point:
-            out.append(seg.at(iv.lo))
-        else:
-            out.append(Segment(seg.at(iv.lo), seg.at(iv.hi), iv.lo_closed, iv.hi_closed))
-    return out
+    return [seg.piece(iv) for iv in segment_hull_param_intervals(seg, gens)]
 
 
 def standard_simplex(n: int) -> VPolytope:

@@ -58,13 +58,6 @@ class SegmentUnionGround:
         return f"SegmentUnionGround({self.k} segments in Q^{self.dim})"
 
 
-def _piece(carrier: Segment, iv: Interval) -> Union[Point, Segment]:
-    """The points of ``carrier`` with parameter in ``iv``."""
-    if iv.is_point:
-        return carrier.at(iv.lo)
-    return Segment(carrier.at(iv.lo), carrier.at(iv.hi), iv.lo_closed, iv.hi_closed)
-
-
 def _generators(pieces: Sequence[Union[Point, Segment]]) -> MixedGenerators:
     return MixedGenerators(points=tuple(p for p in pieces if not isinstance(p, Segment)),
                            segments=tuple(p for p in pieces if isinstance(p, Segment)))
@@ -90,7 +83,7 @@ class SubsegmentSet:
             clipped = (iv.intersect(carrier.domain()) for iv in ivs)
             cleaned.append(union_intervals(c for c in clipped if c is not None))
         if not _canonical:
-            piece_gens = [_generators([_piece(carrier, iv)])
+            piece_gens = [_generators([carrier.piece(iv)])
                           for carrier, ivs in zip(ground.segments, cleaned) for iv in ivs]
             cleaned = [union_intervals(t for gens in piece_gens
                                        for t in segment_hull_param_intervals(carrier, gens))
@@ -134,7 +127,7 @@ class SubsegmentSet:
         return any(iv.contains(t) for iv in self.pieces[carrier])
 
     def as_generators(self) -> Optional[MixedGenerators]:
-        pieces = [_piece(carrier, iv)
+        pieces = [carrier.piece(iv)
                   for carrier, ivs in zip(self.ground.segments, self.pieces) for iv in ivs]
         return _generators(pieces) if pieces else None
 
@@ -223,6 +216,8 @@ def sdv_spot_check(ground: SegmentUnionGround,
     Returns (True, None) when no sampled triple violates the implication,
     else (False, witness) with the offending triple and the three joins.
     """
+    if count < 0:
+        raise InputError("triple count must be non-negative")
     if triples is None:
         rng = random.Random(seed)
         triples = [(random_closed_set(ground, rng), random_closed_set(ground, rng),

@@ -10,8 +10,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from relconvex import linalg, lp
-from relconvex.errors import InputError
-from relconvex.geometry import Point, Segment, VPolytope, sub
+from relconvex.embedding import _shrink_labeled
+from relconvex.errors import ConstructionError, InputError
+from relconvex.geometry import Point, Segment, VPolytope, interpolate, sub
 from relconvex.intervals import Interval, union_intervals
 from relconvex.lattice import NotALatticeError
 
@@ -381,3 +382,39 @@ def lub_tables_reference(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise NotALatticeError("pair without greatest lower bound")
         meet[i] = cand
     return join, meet
+
+
+def p_point_reference(base: VPolytope, i: int, A: frozenset, j: int, ratio: Fraction) -> Point:
+    """Unique intersection of the edge [p_i, p_j] with the affine hull of the
+    shrunken vertices of A minus j, found by a linear solve; the closed form
+    ``embedding.p_point`` must give the same point."""
+    ratio = Fraction(ratio)
+    if not 0 < ratio < 1:
+        raise InputError("p-point requires a ratio strictly inside (0, 1)")
+    if i == j or i not in A or j not in A or len(A) < 2:
+        raise InputError("p-point needs distinct i, j inside A with |A| >= 2")
+    verts = base.vertices
+    labeled = {k: verts[k] for k in sorted(A)}
+    shrunk = _shrink_labeled(labeled, 1 - ratio)
+    hull_pts = [shrunk[k] for k in sorted(A - {j})]
+    pi, pj = verts[i], verts[j]
+    direction = sub(pj, pi)
+    n = base.dim_ambient
+    ncols = len(hull_pts) + 1
+    rows = []
+    rhs = []
+    for k in range(n):
+        rows.append([q[k] for q in hull_pts] + [-direction[k]])
+        rhs.append(pi[k])
+    rows.append([Fraction(1)] * len(hull_pts) + [Fraction(0)])
+    rhs.append(Fraction(1))
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        raise ConstructionError(f"edge [{i},{j}] misses the shrunken hull of {sorted(A)}")
+    part, null = sol
+    if any(vec[ncols - 1] != 0 for vec in null):
+        raise ConstructionError(f"intersection of edge [{i},{j}] with hull not unique")
+    tau = part[ncols - 1]
+    if not 0 < tau < 1:
+        raise ConstructionError("p-point fell outside the open edge")
+    return interpolate(pi, pj, tau)

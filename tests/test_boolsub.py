@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from relconvex.boolsub import (
-    enumerate_subm,
     full_mask,
     iter_meet_subsemilattices,
     meet_closure,
@@ -31,19 +30,19 @@ def brute_force_families(n):
 
 def test_enumerate_subm_n0():
     # the 2-element chain: every one of its 4 families is meet-closed
-    fams = enumerate_subm(0)
+    fams = list(iter_meet_subsemilattices(0))
     assert len(fams) == 4
     assert sorted(map(sorted, fams)) == sorted(map(sorted, brute_force_families(0)))
 
 
 def test_enumerate_subm_n1():
-    fams = enumerate_subm(1)
+    fams = list(iter_meet_subsemilattices(1))
     assert len(fams) == 14
     assert sorted(map(sorted, fams)) == sorted(map(sorted, brute_force_families(1)))
 
 
 def test_enumerate_subm_n2_matches_bruteforce():
-    fams = enumerate_subm(2)
+    fams = list(iter_meet_subsemilattices(2))
     oracle = brute_force_families(2)
     assert len(fams) == len(oracle)
     assert set(fams) == set(oracle)
@@ -55,8 +54,9 @@ def test_enumerate_subm_n2_matches_bruteforce():
 
 
 def test_enumerate_subm_resource_error():
+    # the lattice of all families stops at n = 2
     with pytest.raises(ResourceLimitError):
-        enumerate_subm(3)
+        subm_lattice(3)
     # but the iterator interface stays available
     it = iter_meet_subsemilattices(3)
     assert next(it) == frozenset()
@@ -175,7 +175,7 @@ def test_phi_of_full_family_covers_simplex():
 
 def test_phi_preserves_meets_as_piece_sets():
     s = standard_simplex(1)
-    fams = enumerate_subm(1)
+    fams = list(iter_meet_subsemilattices(1))
     for f0, f1 in itertools.combinations(fams, 2):
         inter = f0 & f1
         assert phi(inter, s).pieces == phi(f0, s).pieces & phi(f1, s).pieces
@@ -184,7 +184,7 @@ def test_phi_preserves_meets_as_piece_sets():
 def test_phi_images_convex_midpoints():
     s = standard_simplex(2)
     rng = random.Random(9)
-    fams = enumerate_subm(2)
+    fams = list(iter_meet_subsemilattices(2))
     rng.shuffle(fams)
     for fam in fams[:12]:
         out = phi(fam, s)
@@ -209,7 +209,7 @@ def test_phi_images_convex_random_pairs():
     # of two image points always lands back in the image
     s = standard_simplex(2)
     rng = random.Random(42)
-    fams = [f for f in enumerate_subm(2) if f]
+    fams = [f for f in iter_meet_subsemilattices(2) if f]
     done = 0
     while done < 100:
         fam = fams[rng.randrange(len(fams))]

@@ -80,6 +80,26 @@ def test_segments_three_lines_random_spot_check(capsys):
     assert json.loads(out)["result"] is True
 
 
+def test_segments_sdv_reports_empty_triple_list(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "cevian_triple.json").read_text())
+    doc["triples"] = []
+    path = tmp_path / "no_triples.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "segments", "sdv",
+                    "--input", FIXTURES / "cevian_ground.json", "--set", path)
+    assert code == 0
+    assert json.loads(out)["triples"] == 0
+
+
+def test_segments_sdv_negative_count_exit_1(capsys):
+    code = main(["segments", "sdv", "--input", str(FIXTURES / "cevian_ground.json"),
+                 "--count", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
 def test_build_outputs_lattice_json(capsys):
     code, out = run(capsys, "build", "--input", FIXTURES / "collinear4.json")
     assert code == 0

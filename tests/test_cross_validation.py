@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from relconvex.boolsub import OpenFaceSet, full_mask, phi, enumerate_subm
+from relconvex.boolsub import OpenFaceSet, full_mask, iter_meet_subsemilattices, phi
 from relconvex.closure import FiniteGround
 from relconvex.geometry import (
     MixedGenerators,
@@ -98,7 +98,7 @@ def test_phi_traces_match_strict_membership_n2():
 
     simplex = standard_simplex(2)
     _, ground, _ = build_ground_set(2)
-    fams = [f for f in enumerate_subm(2) if full_mask(2) in f]
+    fams = [f for f in iter_meet_subsemilattices(2) if full_mask(2) in f]
     rng = random.Random(13)
     rng.shuffle(fams)
     for fam in fams[:10]:

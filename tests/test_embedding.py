@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,9 @@ from relconvex.embedding import (
     verify_lemmas,
 )
 from relconvex.errors import InputError, ResourceLimitError
-from relconvex.geometry import VPolytope, qp, standard_simplex
+from relconvex.geometry import VPolytope, affinely_independent, qp, standard_simplex
+
+from oracles import p_point_reference
 
 
 def test_base_simplex_vertices():
@@ -83,6 +87,45 @@ def test_p_point_strictly_between():
             assert len(ts) == 1
             t = ts.pop()
             assert 0 < t < 1
+
+
+def _p_point_cases():
+    """Every (A, i, j) with i != j in A, at four ratios, on the standard
+    n-simplex and three seeded random simplices, n = 1..4."""
+    rng = random.Random(2004)
+    for n in range(1, 5):
+        bases = [standard_simplex(n)]
+        while len(bases) < 4:
+            pts = [tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+                   for _ in range(n + 1)]
+            if affinely_independent(pts):
+                bases.append(VPolytope(pts, assume_extreme=True))
+        for base in bases:
+            for size in range(2, n + 2):
+                for A in map(frozenset, itertools.combinations(range(n + 1), size)):
+                    for i, j in itertools.permutations(sorted(A), 2):
+                        for ratio in (F(1, 2), F(1, 3), F(3, 4), F(99, 100)):
+                            yield base, i, A, j, ratio
+
+
+def test_p_point_closed_form_matches_solve():
+    cases = 0
+    for base, i, A, j, ratio in _p_point_cases():
+        assert p_point(base, i, A, j, ratio) == p_point_reference(base, i, A, j, ratio), \
+            (base.vertices, i, sorted(A), j, ratio)
+        cases += 1
+    assert cases == 3552
+
+
+def test_p_point_rejects_bad_arguments():
+    base = standard_simplex(2)
+    A = frozenset({0, 1, 2})
+    for ratio in (F(0), F(1), F(3, 2)):
+        with pytest.raises(InputError):
+            p_point(base, 0, A, 1, ratio)
+    for i, B, j in ((0, A, 0), (0, frozenset({1, 2}), 1), (0, A - {1}, 1), (0, frozenset({0}), 0)):
+        with pytest.raises(InputError):
+            p_point(base, i, B, j, F(1, 2))
 
 
 def test_epsilon_search_n1_trivial():
@@ -162,7 +205,7 @@ def test_copy_vertex_sets_have_full_size():
     from itertools import combinations
     for size in (1, 2, 3):
         for A in map(frozenset, combinations(range(3), size)):
-            poly = ctor.copy_polytope(A)
+            poly = VPolytope(list(ctor.copies[A].values()))
             assert len(poly.vertices) == size
 
 
