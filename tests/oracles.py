@@ -10,11 +10,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from relconvex import linalg, lp
+from relconvex.analysis import M3_SUBLATTICE, SDV_VIOLATION, Witness
 from relconvex.embedding import _shrink_labeled
 from relconvex.errors import ConstructionError, InputError
 from relconvex.geometry import Point, Segment, VPolytope, interpolate, sub
 from relconvex.intervals import Interval, union_intervals
-from relconvex.lattice import NotALatticeError
+from relconvex.lattice import FiniteLattice, NotALatticeError
 
 
 def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
@@ -418,3 +419,38 @@ def p_point_reference(base: VPolytope, i: int, A: frozenset, j: int, ratio: Frac
     if not 0 < tau < 1:
         raise ConstructionError("p-point fell outside the open edge")
     return interpolate(pi, pj, tau)
+
+
+def jsd_scan_reference(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
+    """x∨y = x∨z implies x∨y = x∨(y∧z), for all triples."""
+    J, M = lat.join_table, lat.meet_table
+    for x in range(lat.n):
+        jx = J[x]
+        eq = jx[:, None] == jx[None, :]
+        rhs = jx[M]
+        viol = eq & (rhs != jx[:, None])
+        if viol.any():
+            y, z = map(int, np.argwhere(viol)[0])
+            return False, Witness(SDV_VIOLATION, [x, y, z],
+                                  {"roles": ["x", "y", "z"]})
+    return True, None
+
+
+def find_m3_reference(lat: FiniteLattice) -> Optional[Witness]:
+    """Five elements forming a diamond sublattice, or None."""
+    J, M, leq = lat.join_table, lat.meet_table, lat.leq
+    incomp = ~leq & ~leq.T
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            if not incomp[a, b]:
+                continue
+            j, m = J[a, b], M[a, b]
+            cand = (incomp[a] & incomp[b]
+                    & (J[a] == j) & (J[b] == j)
+                    & (M[a] == m) & (M[b] == m))
+            cand[: b + 1] = False
+            if cand.any():
+                c = int(np.argmax(cand))
+                return Witness(M3_SUBLATTICE, [int(m), a, b, c, int(j)],
+                               {"roles": ["bottom", "a", "b", "c", "top"]})
+    return None
