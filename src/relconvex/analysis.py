@@ -171,6 +171,9 @@ class ClosureTable:
         self.n = n
         full = 1 << n
         self._table = dict(table)
+        for mask in self._table:
+            if not 0 <= mask < full:
+                raise InputError(f"closure table key {mask} is not a subset of {n} points")
         for mask in range(full):
             cl = self._table.get(mask)
             if cl is None:

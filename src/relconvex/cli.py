@@ -297,10 +297,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ResourceLimitError as exc:
-        print(rio.dumps({"error": "resource-limit", "reason": str(exc)}), file=sys.stderr)
+        sys.stderr.write(rio.dumps({"error": "resource-limit", "reason": str(exc)}))
         return EXIT_RESOURCE
     except InputError as exc:
-        print(rio.dumps({"error": "input", "reason": str(exc)}), file=sys.stderr)
+        sys.stderr.write(rio.dumps({"error": "input", "reason": str(exc)}))
         return EXIT_INPUT
 
 

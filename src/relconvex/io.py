@@ -3,7 +3,10 @@ Hasse diagrams as DOT, and planar point configurations as SVG.
 
 All emitters sort keys and sequences so identical inputs give byte-identical
 artifacts.  SVG coordinates are fixed-point decimal strings computed with
-integer arithmetic only.
+integer arithmetic only.  ``dumps`` writes the bytes of
+``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, but joins each
+list of plain ints (the rows of the join and meet tables) in one step instead
+of running json's pure-Python indent encoder value by value.
 """
 
 from __future__ import annotations
@@ -190,6 +193,10 @@ def lattice_from_json(data: dict) -> FiniteLattice:
     if data.get("type") != "lattice":
         raise InputError("expected a lattice document")
     labels = [tuple(e) if isinstance(e, list) else e for e in data["elements"]]
+    for pair in data["covers"]:
+        for i in pair:
+            if not 0 <= i < len(labels):
+                raise InputError(f"cover index {i} outside elements 0..{len(labels) - 1}")
     covers = [(labels[i], labels[j]) for i, j in data["covers"]]
     return FiniteLattice.from_cover_pairs(labels, covers)
 
@@ -250,5 +257,68 @@ def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None) -> st
     return "\n".join(parts) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# JSON text
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode  # floats; TypeError for the unserialisable
+_INT = {int}
+
+
 def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent, json writes through its pure-Python encoder, one
+    generator step per value.  Here a list of plain ints (a row of a join or
+    meet table, a cover pair, the members of an element) is one join.
+    """
+    return _emit(data, "\n", set()) + "\n"
+
+
+def _emit(o, nl: str, open_ids: set) -> str:
+    """o as indented JSON; nl is a newline plus the indent of o's own line."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, o)) == _INT:
+            body = map(int.__repr__, o)
+        else:
+            _enter(o, open_ids)
+            body = [_emit(v, inner, open_ids) for v in o]
+            open_ids.remove(id(o))
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        _enter(o, open_ids)
+        body = [_key(k) + ": " + _emit(v, inner, open_ids) for k, v in sorted(o.items())]
+        open_ids.remove(id(o))
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    return _encode_scalar(o)
+
+
+def _enter(o, open_ids: set) -> None:
+    if id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(o))
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: non-str scalars become their JSON text, quoted."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _emit(k, "", set()) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")

@@ -3,6 +3,7 @@ against.  They live here, not in the package, because nothing in the
 package calls them."""
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -454,3 +455,7 @@ def find_m3_reference(lat: FiniteLattice) -> Optional[Witness]:
                 return Witness(M3_SUBLATTICE, [int(m), a, b, c, int(j)],
                                {"roles": ["bottom", "a", "b", "c", "top"]})
     return None
+
+
+def dumps_reference(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -74,7 +74,7 @@ PINNED = {
     "check biatomic m3_lattice":
         "0:c8acfb0a229e33dd56e2494c5f1349ec6c9806805bae152cabe6dbe1b561329b",
     "check antiexchange m3_lattice":
-        "1:798fe2ada2a74bfd313c4748695ea89c82a8831d4467da29a497dbe2ce042045",
+        "1:207e57fb8c64c3dfc230b6ce6bf1f80ff7d35082e190cf106b8b354d20d0badf",
     "check weakatom m3_lattice":
         "3:78538cc09c611600dc432b81b6f2dfe8b01ebd36e4559546f93cfb087374a54a",
     "check m3 m3_lattice":

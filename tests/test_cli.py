@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from relconvex import io as rio
 from relconvex.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -207,6 +208,35 @@ def test_cover_outside_lattice_exit_1(tmp_path, capsys):
     code = main(["check", "jsd", "--input", str(lattice)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_negative_cover_index_exit_1(tmp_path, capsys):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"type": "lattice", "elements": [[], [0], [1], [0, 1]],
+                                   "covers": [[0, 1], [0, 2], [1, -1], [2, 3]]}))
+    code = main(["check", "jsd", "--input", str(lattice)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "input", "reason": "cover index -1 outside elements 0..3"}
+
+
+def test_closure_table_key_outside_subsets_exit_1(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"type": "closure-table", "n": 2, "closure": {
+        "0": 0, "1": 1, "2": 2, "3": 3, "9": 1}}))
+    code = main(["check", "antiexchange", "--input", str(table)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "input", "reason": "closure table key 9 is not a subset of 2 points"}
+
+
+def test_error_documents_are_written_like_artifacts(tmp_path, capsys):
+    for argv, code in [(["check", "jsd", "--input", str(tmp_path / "missing.json")], 1),
+                       (["--max-ground", "2", "build", "--input",
+                         str(FIXTURES / "collinear4.json")], 2)]:
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == rio.dumps(json.loads(err))
 
 
 def test_document_not_an_object_exit_1(tmp_path, capsys):

@@ -1,8 +1,15 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dumps_reference
 from relconvex import io as rio
+from relconvex.cli import main
 from relconvex.closure import FiniteGround
 from relconvex.errors import InputError
 from relconvex.geometry import Segment, qp
@@ -75,3 +82,82 @@ def test_type_mismatch_raises():
         rio.ground_from_json({"type": "lattice"})
     with pytest.raises(InputError):
         rio.polytope_from_json({"type": "finite-ground"})
+
+
+# ---------------------------------------------------------------------------
+# dumps against json.dumps(indent=2, sort_keys=True)
+
+TEMPLATES = Path(__file__).resolve().parent.parent / "perfbench" / "large_grounds.json"
+
+# flat int lists take dumps' one-join path; bools mixed in must not
+flat_ints = st.lists(st.integers(-2**70, 2**70) | st.booleans(), max_size=6)
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+# json sorts the items, so the keys of one dict must be mutually comparable
+numeric_keys = st.integers(-2**70, 2**70) | st.booleans() | st.floats()
+
+
+def containers(kids):
+    return (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(st.text(), kids, max_size=4)
+            | st.dictionaries(numeric_keys, kids, max_size=4)
+            | st.dictionaries(st.none(), kids, max_size=1))
+
+
+json_values = st.recursive(scalars | flat_ints | flat_ints.map(tuple), containers,
+                           max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_dumps_matches_json(value):
+    assert rio.dumps(value) == dumps_reference(value)
+
+
+def test_dumps_matches_json_on_deep_nesting():
+    doc = [3, -1]
+    for depth in range(60):
+        if depth % 2:
+            doc = [doc, [], {}, (depth, True)]
+        else:
+            doc = {"k": doc, "é\x00\n": [depth], "z": 0.5}
+    assert rio.dumps(doc) == dumps_reference(doc)
+
+
+LIST_CYCLE = [1]
+LIST_CYCLE.append(LIST_CYCLE)
+DICT_CYCLE = {"a": []}
+DICT_CYCLE["a"].append(DICT_CYCLE)
+
+UNSERIALISABLE = {
+    "fraction": ({"x": F(1, 2)}, TypeError),
+    "numpy-int64": ([1, np.int64(3)], TypeError),
+    "set": ({"s": {1, 2}}, TypeError),
+    "tuple-key": ({(1, 2): 3}, TypeError),
+    "mixed-keys": ({"a": 1, 2: 3}, TypeError),
+    "list-cycle": (LIST_CYCLE, ValueError),
+    "dict-cycle": (DICT_CYCLE, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSERIALISABLE))
+def test_dumps_errors_match_json(name):
+    doc, kind = UNSERIALISABLE[name]
+    with pytest.raises(kind) as want:
+        dumps_reference(doc)
+    with pytest.raises(kind) as got:
+        rio.dumps(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_build_tables_matches_json_on_large_templates(tmp_path, capsys, index):
+    with open(TEMPLATES) as fh:
+        template = json.load(fh)["templates"][index]
+    ground = {"type": "finite-ground", "points": template["points"]}
+    path = tmp_path / "ground.json"
+    path.write_text(json.dumps(ground))
+    assert main(["build", "--input", str(path), "--tables"]) == 0
+    out = capsys.readouterr().out
+    lat = rio.ground_from_json(ground).lattice()
+    assert lat.n == template["closed_sets"]
+    assert out == dumps_reference(rio.lattice_to_json(lat, include_tables=True))
