@@ -30,14 +30,13 @@ from .boolsub import (
     subm_lattice,
     verify_claim_join,
 )
-from .closure import FiniteGround, collinear_ground
+from .closure import FiniteGround
 from .embedding import (
     build_construction,
     build_embedding,
     build_ground_set,
     epsilon_search,
     p_point,
-    shrink,
     verify_lemmas,
 )
 from .errors import (
@@ -69,7 +68,6 @@ from .segments import (
     SubsegmentSet,
     check_condition_disjoint,
     check_condition_faces,
-    extreme_points_of_closure,
     face_restriction_check,
     sdv_spot_check,
     seg_closure,

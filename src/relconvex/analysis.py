@@ -208,7 +208,7 @@ def check_anti_exchange(operator) -> tuple[bool, Optional[Witness]]:
             if A >> x & 1:
                 continue
             for y in range(x + 1, n):
-                if A >> y & 1 or x == y:
+                if A >> y & 1:
                     continue
                 if added[y] >> x & 1 and added[x] >> y & 1:
                     return False, Witness(

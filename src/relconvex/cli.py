@@ -31,6 +31,7 @@ from .analysis import (
     check_weak_atom_property,
     find_m3,
 )
+from .closure import DEFAULT_MAX_GROUND
 from .embedding import build_embedding
 from .errors import InputError, ResourceLimitError
 from .segments import (
@@ -244,7 +245,7 @@ def _add_common(parser, suppress: bool):
                         help="seed for randomized checks")
     parser.add_argument("--timings", action="store_true", default=dflt(False),
                         help="include elapsed times in reports")
-    parser.add_argument("--max-ground", type=int, default=dflt(20),
+    parser.add_argument("--max-ground", type=int, default=dflt(DEFAULT_MAX_GROUND),
                         help="enumeration bound for grounds")
 
 

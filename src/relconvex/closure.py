@@ -141,12 +141,3 @@ class FiniteGround:
 
         masks = self.enumerate_closed_masks(max_ground)
         return FiniteLattice.from_closed_masks(masks)
-
-
-def collinear_ground(values: Sequence, dim: int = 1) -> FiniteGround:
-    """Ground of collinear points at the given 1-D coordinates."""
-    pts = []
-    for v in values:
-        coord = [Fraction(v)] + [Fraction(0)] * (dim - 1)
-        pts.append(tuple(coord))
-    return FiniteGround(pts)

@@ -42,15 +42,6 @@ from .lattice import FiniteLattice
 EPSILON_SEARCH_BUDGET = 64
 
 
-def shrink(poly: VPolytope, ratio: Fraction) -> VPolytope:
-    """Homothety about the vertex barycenter; ratio 1 is the identity."""
-    ratio = Fraction(ratio)
-    if not 0 < ratio <= 1:
-        raise InputError("shrink ratio must lie in (0, 1]")
-    pts = _shrink_labeled(dict(enumerate(poly.vertices)), 1 - ratio)
-    return VPolytope(list(pts.values()), assume_extreme=True)
-
-
 def _shrink_labeled(points: dict[int, Point], amount: Fraction) -> dict[int, Point]:
     """Shrink by amount (ratio 1 - amount), keeping the vertex labels."""
     b = centroid(list(points.values()))
@@ -211,9 +202,6 @@ class LemmaReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[LemmaCheck]:
-        return [c for c in self.checks if not c.ok]
 
     def add(self, name: str, context: tuple, ok: bool, note: str = ""):
         self.checks.append(LemmaCheck(name, context, bool(ok), note))
@@ -436,7 +424,7 @@ def build_embedding(n: int, *, allow_large: bool = False,
     all_families = list(iter_meet_subsemilattices(n))
     families = [f for f in all_families if full in f]
     source = subm_lattice(n, families=families)
-    target = ground.lattice(max_ground=max(20, ground.n))
+    target = ground.lattice(max_ground=ground.n)
 
     base = ctor.base
     support_of = OpenFaceSet(base, frozenset()).piece_support

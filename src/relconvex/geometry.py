@@ -341,25 +341,15 @@ class VPolytope:
     def __repr__(self):
         return f"VPolytope({len(self.vertices)} vertices, dim {self.dim_affine}/{self.dim_ambient})"
 
-    def contains(self, q: Point) -> bool:
-        return hull_member(q, self.vertices)
-
-    def barycenter(self) -> Point:
-        return centroid(self.vertices)
-
     def _affine_chart(self):
-        """Coordinates of every vertex in a basis of the affine hull."""
+        """Coordinates of every vertex in the RREF basis of the affine hull.
+
+        A basis row is 1 at its own pivot column and 0 at the others, so a
+        vector of the span has its coordinates at the pivot columns.
+        """
         v0 = self.vertices[0]
-        diffs = [sub(p, v0) for p in self.vertices[1:]]
-        red, pivots = linalg.rref(diffs)
-        basis = [red[i] for i in range(len(pivots))]
-        coords = []
-        for p in self.vertices:
-            d = sub(p, v0)
-            sol = linalg.solve([[b[k] for b in basis] for k in range(self.dim_ambient)], list(d))
-            assert sol is not None
-            coords.append(tuple(sol[0]))
-        return coords
+        _, pivots = linalg.rref([sub(p, v0) for p in self.vertices[1:]])
+        return [tuple(p[k] - v0[k] for k in pivots) for p in self.vertices]
 
     def facets(self) -> list[frozenset[int]]:
         """Vertex index sets of the (dim_affine - 1)-dimensional faces."""
@@ -372,8 +362,6 @@ class VPolytope:
         for subset in itertools.combinations(range(m), d):
             base = coords[subset[0]]
             diffs = [sub(coords[i], base) for i in subset[1:]]
-            if d > 1 and linalg.rank(diffs) != d - 1:
-                continue
             ns = linalg.nullspace(diffs) if diffs else [[Fraction(1)]]
             if len(ns) != 1:
                 continue
@@ -428,9 +416,6 @@ class Face:
     @property
     def is_proper(self) -> bool:
         return len(self.indices) < len(self.polytope.vertices)
-
-    def contains(self, q: Point) -> bool:
-        return hull_member(q, self.vertices)
 
 
 # ---------------------------------------------------------------------------

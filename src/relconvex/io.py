@@ -51,6 +51,20 @@ def _document(load):
     return checked
 
 
+def _int(v, what: str) -> int:
+    """v if it is a JSON integer; a bool, float or string is an InputError."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError(f"{what} must be a JSON integer, got {v!r}")
+    return v
+
+
+def _flag(v, what: str) -> bool:
+    """v if it is a JSON boolean; 0, 1 or "false" is an InputError."""
+    if not isinstance(v, bool):
+        raise InputError(f"{what} must be a JSON boolean, got {v!r}")
+    return v
+
+
 def point_to_json(p: Point) -> list[str]:
     return [rat_to_str(c) for c in p]
 
@@ -99,7 +113,8 @@ def segment_ground_from_json(data: dict) -> SegmentUnionGround:
     segs = []
     for s in data["segments"]:
         segs.append(Segment(point_from_json(s["a"]), point_from_json(s["b"]),
-                            bool(s.get("a_closed", True)), bool(s.get("b_closed", True))))
+                            _flag(s.get("a_closed", True), "a_closed"),
+                            _flag(s.get("b_closed", True), "b_closed")))
     return SegmentUnionGround(segs)
 
 
@@ -126,12 +141,12 @@ def subsegment_set_to_json(s: SubsegmentSet) -> list[dict]:
 def subsegment_set_from_json(ground: SegmentUnionGround, arr: Sequence[dict]) -> SubsegmentSet:
     pieces: list[list[Interval]] = [[] for _ in range(ground.k)]
     for rec in arr:
-        idx = int(rec["carrier_index"])
+        idx = _int(rec["carrier_index"], "carrier_index")
         if not 0 <= idx < ground.k:
             raise InputError(f"carrier index {idx} outside ground")
         pieces[idx].append(Interval(str_to_rat(rec["t_lo"]), str_to_rat(rec["t_hi"]),
-                                    bool(rec.get("lo_closed", True)),
-                                    bool(rec.get("hi_closed", True))))
+                                    _flag(rec.get("lo_closed", True), "lo_closed"),
+                                    _flag(rec.get("hi_closed", True), "hi_closed")))
     return SubsegmentSet(ground, pieces)
 
 
@@ -155,8 +170,8 @@ def closure_table_from_json(data: dict):
 
     if data.get("type") != "closure-table":
         raise InputError("expected a closure-table document")
-    n = int(data["n"])
-    table = {int(k): int(v) for k, v in data["closure"].items()}
+    n = _int(data["n"], "closure-table n")
+    table = {int(k): _int(v, f"closure of {k}") for k, v in data["closure"].items()}
     return ClosureTable(n, table)
 
 
@@ -195,7 +210,7 @@ def lattice_from_json(data: dict) -> FiniteLattice:
     labels = [tuple(e) if isinstance(e, list) else e for e in data["elements"]]
     for pair in data["covers"]:
         for i in pair:
-            if not 0 <= i < len(labels):
+            if not 0 <= _int(i, "cover index") < len(labels):
                 raise InputError(f"cover index {i} outside elements 0..{len(labels) - 1}")
     covers = [(labels[i], labels[j]) for i, j in data["covers"]]
     return FiniteLattice.from_cover_pairs(labels, covers)

@@ -30,8 +30,7 @@ class FiniteLattice:
         if leq.shape != (self.n, self.n):
             raise InputError("leq matrix shape mismatch")
         self.leq = leq
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
+        if len(set(self.labels)) != self.n:
             raise InputError("duplicate element labels")
         self._join = self._meet = self._covers = None    # computed on demand
         self._check_order()
@@ -69,27 +68,6 @@ class FiniteLattice:
             leq |= leq[:, k, None] & leq[k]
         return cls(labels, leq)
 
-    @classmethod
-    def chain(cls, k: int) -> "FiniteLattice":
-        return cls(list(range(k)), np.triu(np.ones((k, k), dtype=bool)))
-
-    @classmethod
-    def boolean(cls, k: int) -> "FiniteLattice":
-        E = np.arange(1 << k)
-        return cls(E.tolist(), (E[None, :] & E[:, None]) == E[:, None])
-
-    @classmethod
-    def m3(cls) -> "FiniteLattice":
-        return cls.from_cover_pairs(
-            ["0", "a", "b", "c", "1"],
-            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
-
-    @classmethod
-    def n5(cls) -> "FiniteLattice":
-        return cls.from_cover_pairs(
-            ["0", "a", "c", "b", "1"],
-            [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
-
     # -- basic structure -------------------------------------------------------
 
     def _check_order(self):
@@ -101,21 +79,14 @@ class FiniteLattice:
         if (reach & ~self.leq).any():
             raise InputError("order not transitive")
 
-    def index(self, label) -> int:
-        return self._index[label]
-
     def relabel(self, new_labels: Sequence[Hashable]) -> "FiniteLattice":
         """Replace element labels in place (same order); returns self."""
         if len(new_labels) != self.n:
             raise InputError("label count mismatch")
-        self.labels = list(new_labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
+        if len(set(new_labels)) != self.n:
             raise InputError("duplicate element labels")
+        self.labels = list(new_labels)
         return self
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
 
     def bottom(self) -> int:
         rows = np.nonzero(self.leq.all(axis=1))[0]
@@ -153,12 +124,6 @@ class FiniteLattice:
         if self._meet is None:
             self._compute_tables()
         return self._meet
-
-    def join(self, i: int, j: int) -> int:
-        return int(self.join_table[i, j])
-
-    def meet(self, i: int, j: int) -> int:
-        return int(self.meet_table[i, j])
 
     def covers_matrix(self) -> np.ndarray:
         """covers[i, j] True iff j covers i."""

@@ -30,7 +30,6 @@ from .geometry import (
     Point,
     Segment,
     VPolytope,
-    extreme_points,
     hull_member,
     segment_hull_param_intervals,
 )
@@ -234,15 +233,7 @@ def sdv_spot_check(ground: SegmentUnionGround,
 
 
 # ---------------------------------------------------------------------------
-# extreme points and face restriction
-
-
-def extreme_points_of_closure(ground: SegmentUnionGround) -> list[Point]:
-    """Extreme points of the closed hull: always endpoint closures."""
-    endpoints = []
-    for s in ground.segments:
-        endpoints.extend([s.a, s.b])
-    return extreme_points(endpoints)
+# face restriction
 
 
 # sample points of a face for finite Y: its vertices and every combination

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import lattices
 from relconvex.analysis import (
     ClosureTable,
     LatticeMap,
@@ -19,7 +20,7 @@ from relconvex.analysis import (
     find_m3,
     verify_embedding,
 )
-from relconvex.closure import FiniteGround, collinear_ground
+from relconvex.closure import FiniteGround
 from relconvex.lattice import FiniteLattice
 
 
@@ -41,12 +42,12 @@ def random_planar_ground(rng, size):
 # --- join-semidistributivity -------------------------------------------------
 
 def test_jsd_boolean():
-    ok, _ = check_jsd(FiniteLattice.boolean(3))
+    ok, _ = check_jsd(lattices.boolean(3))
     assert ok
 
 
 def test_jsd_m3_violation_with_witness():
-    lat = FiniteLattice.m3()
+    lat = lattices.m3()
     ok, w = check_jsd(lat)
     assert not ok
     x, y, z = w.elements
@@ -56,9 +57,9 @@ def test_jsd_m3_violation_with_witness():
 
 
 def test_jsd_n5_true():
-    ok, _ = check_jsd(FiniteLattice.n5())
+    ok, _ = check_jsd(lattices.n5())
     assert ok
-    assert brute_jsd(FiniteLattice.n5())
+    assert brute_jsd(lattices.n5())
 
 
 def test_jsd_matches_bruteforce_on_small_lattices():
@@ -80,17 +81,17 @@ def test_convex_ground_lattices_are_jsd():
 # --- weak atom property -------------------------------------------------------
 
 def test_weak_atom_boolean():
-    assert check_weak_atom_property(FiniteLattice.boolean(3))[0]
+    assert check_weak_atom_property(lattices.boolean(3))[0]
 
 
 def test_weak_atom_m3_fails():
-    lat = FiniteLattice.m3()
+    lat = lattices.m3()
     ok, w = check_weak_atom_property(lat)
     assert not ok
     x, y, z = w.elements
-    assert lat.join(x, y) == lat.join(x, z)
+    assert lat.join_table[x, y] == lat.join_table[x, z]
     assert y != z
-    assert not (lat.le(y, x) and lat.le(z, x))
+    assert not (lat.leq[y, x] and lat.leq[z, x])
 
 
 def test_weak_atom_on_closed_set_lattices():
@@ -111,7 +112,7 @@ def test_anti_exchange_on_point_grounds():
 
 
 def test_anti_exchange_collinear():
-    ok, _ = check_anti_exchange(collinear_ground([0, 1, 2, 3]))
+    ok, _ = check_anti_exchange(lattices.collinear_ground([0, 1, 2, 3]))
     assert ok
 
 
@@ -139,17 +140,17 @@ def test_closure_table_validation():
 # --- D-relation and lower boundedness ------------------------------------------
 
 def test_d_relation_boolean_empty():
-    graph = d_relation(FiniteLattice.boolean(3))
+    graph = d_relation(lattices.boolean(3))
     assert all(not v for v in graph.values())
 
 
 def test_d_relation_chain_empty():
-    graph = d_relation(FiniteLattice.chain(4))
+    graph = d_relation(lattices.chain(4))
     assert all(not v for v in graph.values())
 
 
 def test_four_collinear_not_lower_bounded():
-    lat = collinear_ground([0, 1, 2, 3]).lattice()
+    lat = lattices.collinear_ground([0, 1, 2, 3]).lattice()
     ok, w = check_lower_bounded(lat)
     assert not ok
     cycle = w.elements
@@ -163,7 +164,7 @@ def test_four_collinear_not_lower_bounded():
 
 
 def test_three_collinear_lower_bounded():
-    lat = collinear_ground([0, 1, 2]).lattice()
+    lat = lattices.collinear_ground([0, 1, 2]).lattice()
     assert check_lower_bounded(lat)[0]
 
 
@@ -179,11 +180,11 @@ def test_d_cycle_agrees_with_bruteforce_path_search():
         return False
 
     rng = random.Random(5)
-    cases = [collinear_ground([0, 1, 2, 3]).lattice(),
-             FiniteLattice.boolean(3),
-             FiniteLattice.chain(5),
-             FiniteLattice.m3(),
-             FiniteLattice.n5()]
+    cases = [lattices.collinear_ground([0, 1, 2, 3]).lattice(),
+             lattices.boolean(3),
+             lattices.chain(5),
+             lattices.m3(),
+             lattices.n5()]
     for _ in range(6):
         cases.append(random_planar_ground(rng, rng.randint(3, 6)).lattice())
     for lat in cases:
@@ -194,12 +195,12 @@ def test_d_cycle_agrees_with_bruteforce_path_search():
 # --- biatomicity ---------------------------------------------------------------
 
 def test_biatomic_boolean():
-    assert check_biatomic(FiniteLattice.boolean(3))[0]
+    assert check_biatomic(lattices.boolean(3))[0]
 
 
 def test_biatomic_collinear_grounds():
-    assert check_biatomic(collinear_ground([0, 1, 2]).lattice())[0]
-    assert check_biatomic(collinear_ground([0, 1, 2, 3]).lattice())[0]
+    assert check_biatomic(lattices.collinear_ground([0, 1, 2]).lattice())[0]
+    assert check_biatomic(lattices.collinear_ground([0, 1, 2, 3]).lattice())[0]
 
 
 def test_biatomic_violation_witness_revalidates():
@@ -213,34 +214,34 @@ def test_biatomic_violation_witness_revalidates():
     assert not ok
     x, y, z = w.elements
     assert lat.labels[x] == "c"
-    assert lat.le(x, lat.join(y, z))
+    assert lat.leq[x, lat.join_table[y, z]]
     atoms = lat.atoms()
     for yp in atoms:
         for zp in atoms:
-            if lat.le(yp, y) and lat.le(zp, z):
-                assert not lat.le(x, lat.join(yp, zp))
+            if lat.leq[yp, y] and lat.leq[zp, z]:
+                assert not lat.leq[x, lat.join_table[yp, zp]]
 
 
 # --- M3 detection ---------------------------------------------------------------
 
 def test_find_m3_in_m3():
-    w = find_m3(FiniteLattice.m3())
+    w = find_m3(lattices.m3())
     assert w is not None
     bot, a, b, c, top = w.elements
-    lat = FiniteLattice.m3()
+    lat = lattices.m3()
     for u, v in itertools.combinations([a, b, c], 2):
-        assert lat.join(u, v) == top
-        assert lat.meet(u, v) == bot
+        assert lat.join_table[u, v] == top
+        assert lat.meet_table[u, v] == bot
 
 
 def test_find_m3_absent_in_boolean():
-    assert find_m3(FiniteLattice.boolean(3)) is None
+    assert find_m3(lattices.boolean(3)) is None
 
 
 def test_find_m3_iff_not_jsd_on_corpus():
     rng = random.Random(7)
-    corpus = [FiniteLattice.m3(), FiniteLattice.n5(), FiniteLattice.boolean(3),
-              FiniteLattice.chain(4)]
+    corpus = [lattices.m3(), lattices.n5(), lattices.boolean(3),
+              lattices.chain(4)]
     for _ in range(6):
         corpus.append(random_planar_ground(rng, rng.randint(3, 6)).lattice())
     for lat in corpus:
@@ -257,13 +258,13 @@ def test_find_m3_iff_not_jsd_on_corpus():
 # --- embeddings -----------------------------------------------------------------
 
 def test_verify_embedding_identity():
-    lat = FiniteLattice.boolean(2)
+    lat = lattices.boolean(2)
     f = LatticeMap(lat, lat, list(range(lat.n)))
     assert verify_embedding(f)[0]
 
 
 def test_verify_embedding_constant_fails():
-    chain = FiniteLattice.chain(2)
+    chain = lattices.chain(2)
     f = LatticeMap(chain, chain, [0, 0])
     ok, w = verify_embedding(f)
     assert not ok
@@ -271,8 +272,8 @@ def test_verify_embedding_constant_fails():
 
 
 def test_map_defects_reports_each_property():
-    b2 = FiniteLattice.boolean(2)
-    chain = FiniteLattice.chain(4)
+    b2 = lattices.boolean(2)
+    chain = lattices.chain(4)
     # atoms 1 and 2 collide, and their join 3 lands above their common image
     f = LatticeMap(b2, chain, [0, 1, 1, 2])
     defects = map_defects(f)
@@ -285,8 +286,8 @@ def test_map_defects_reports_each_property():
 
 
 def test_verify_embedding_non_hom_fails():
-    b2 = FiniteLattice.boolean(2)
-    chain = FiniteLattice.chain(4)
+    b2 = lattices.boolean(2)
+    chain = lattices.chain(4)
     # order-embedding of B_2 into a chain cannot preserve joins
     f = LatticeMap(b2, chain, [0, 1, 2, 3])
     ok, w = verify_embedding(f)
@@ -296,9 +297,9 @@ def test_verify_embedding_non_hom_fails():
 # --- distributivity --------------------------------------------------------------
 
 def test_distributive_boolean():
-    assert check_distributive(FiniteLattice.boolean(4))[0]
+    assert check_distributive(lattices.boolean(4))[0]
 
 
 def test_distributive_fails_on_m3_and_n5():
-    assert not check_distributive(FiniteLattice.m3())[0]
-    assert not check_distributive(FiniteLattice.n5())[0]
+    assert not check_distributive(lattices.m3())[0]
+    assert not check_distributive(lattices.n5())[0]

@@ -75,11 +75,11 @@ def test_subm_lattice_n1():
     assert bot == frozenset()
     assert top == frozenset(range(4))
     # join of {{0}} and {{1}} must add the empty set
-    i = lat.index(frozenset({0b01}))
-    j = lat.index(frozenset({0b10}))
-    assert lat.labels[lat.join(i, j)] == frozenset({0b01, 0b10, 0})
+    i = lat.labels.index(frozenset({0b01}))
+    j = lat.labels.index(frozenset({0b10}))
+    assert lat.labels[lat.join_table[i, j]] == frozenset({0b01, 0b10, 0})
     # meet with the empty family is the empty family
-    assert lat.labels[lat.meet(i, lat.bottom())] == frozenset()
+    assert lat.labels[lat.meet_table[i, lat.bottom()]] == frozenset()
 
 
 def test_subm_lattice_axioms_n1():

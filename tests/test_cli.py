@@ -239,6 +239,49 @@ def test_error_documents_are_written_like_artifacts(tmp_path, capsys):
         assert err == rio.dumps(json.loads(err))
 
 
+CEVIAN = str(FIXTURES / "cevian_ground.json")
+TABLE = {"type": "closure-table", "n": 2, "closure": {"0": 0, "1": 1, "2": 2, "3": 3}}
+
+# values that int() or bool() would coerce into a well-formed document, with
+# the command that reads them and the input error it must report
+WRONG_JSON_TYPES = {
+    "cover-indices-booleans": (
+        ["check", "jsd", "--input"],
+        {"type": "lattice", "elements": [[], [0]], "covers": [[False, True]]},
+        "cover index must be a JSON integer, got False"),
+    "closure-value-float": (
+        ["check", "antiexchange", "--input"],
+        {**TABLE, "closure": {**TABLE["closure"], "0": 0.9}},
+        "closure of 0 must be a JSON integer, got 0.9"),
+    "closure-size-float": (
+        ["check", "antiexchange", "--input"],
+        {**TABLE, "n": 1.7, "closure": {"0": 0, "1": 1}},
+        "closure-table n must be a JSON integer, got 1.7"),
+    "carrier-index-float": (
+        ["segments", "closure", "--input", CEVIAN, "--set"],
+        {"pieces": [{"carrier_index": 0.5, "t_lo": "0", "t_hi": "1"}]},
+        "carrier_index must be a JSON integer, got 0.5"),
+    "openness-flag-string": (
+        ["segments", "check-i", "--input"],
+        {"type": "segment-ground",
+         "segments": [{"a": ["0", "0"], "b": ["1", "0"], "a_closed": "false"}]},
+        "a_closed must be a JSON boolean, got 'false'"),
+    "openness-flag-int": (
+        ["segments", "closure", "--input", CEVIAN, "--set"],
+        {"pieces": [{"carrier_index": 0, "t_lo": "0", "t_hi": "1", "lo_closed": 0}]},
+        "lo_closed must be a JSON boolean, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_JSON_TYPES))
+def test_wrong_json_type_exit_1(tmp_path, capsys, name):
+    argv, doc, reason = WRONG_JSON_TYPES[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "input", "reason": reason}
+
+
 def test_document_not_an_object_exit_1(tmp_path, capsys):
     doc = tmp_path / "list.json"
     doc.write_text("[]")

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from relconvex.closure import FiniteGround, collinear_ground
+import lattices
+from relconvex.closure import FiniteGround
 from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import caratheodory_member, qp
 from relconvex.lattice import FiniteLattice
@@ -18,12 +19,12 @@ def random_ground(rng, size, dim=2, span=4):
 
 
 def test_closure_empty_is_empty():
-    g = collinear_ground([0, 1, 2])
+    g = lattices.collinear_ground([0, 1, 2])
     assert g.closure_mask(0) == 0
 
 
 def test_closure_order_convex_on_line():
-    g = collinear_ground([0, 1, 2, 3])
+    g = lattices.collinear_ground([0, 1, 2, 3])
     # {x1, x3} closes to {x1, x2, x3}
     assert g.closure([0, 2]) == frozenset({0, 1, 2})
 
@@ -48,7 +49,7 @@ def test_closure_axioms_exhaustive_small():
 
 
 def test_three_collinear_points_seven_closed_sets():
-    g = collinear_ground([0, 1, 2])
+    g = lattices.collinear_ground([0, 1, 2])
     assert len(g.enumerate_closed_masks()) == 7
 
 
@@ -58,7 +59,7 @@ def test_three_non_collinear_points_boolean():
 
 
 def test_four_collinear_points_eleven_closed_sets():
-    g = collinear_ground([0, 1, 2, 3])
+    g = lattices.collinear_ground([0, 1, 2, 3])
     masks = g.enumerate_closed_masks()
     assert len(masks) == 11
     assert sorted(masks) == g.scan_closed_masks()
@@ -72,7 +73,7 @@ def test_nextclosure_matches_bruteforce_randomized():
 
 
 def test_resource_bound():
-    g = collinear_ground(range(8))
+    g = lattices.collinear_ground(range(8))
     with pytest.raises(ResourceLimitError):
         g.enumerate_closed_masks(max_ground=5)
 
@@ -160,28 +161,28 @@ def test_witness_table_invariant_under_affine_rescaling():
 # --- lattice structure -------------------------------------------------------
 
 def test_boolean_lattice_atoms():
-    lat = FiniteLattice.boolean(3)
+    lat = lattices.boolean(3)
     assert len(lat.atoms()) == 3
     assert sorted(lat.labels[a] for a in lat.atoms()) == [1, 2, 4]
     assert len(lat.join_irreducibles()) == 3
 
 
 def test_collinear_lattice_atoms_are_singletons():
-    g = collinear_ground([0, 1, 2, 3])
+    g = lattices.collinear_ground([0, 1, 2, 3])
     lat = g.lattice()
     atom_masks = {lat.labels[a] for a in lat.atoms()}
     assert atom_masks == {1, 2, 4, 8}
 
 
 def test_chain_join_irreducibles():
-    lat = FiniteLattice.chain(4)
+    lat = lattices.chain(4)
     assert lat.join_irreducibles() == [1, 2, 3]
 
 
 def test_m3_and_n5_shapes():
-    m3 = FiniteLattice.m3()
+    m3 = lattices.m3()
     assert len(m3.atoms()) == 3
-    n5 = FiniteLattice.n5()
+    n5 = lattices.n5()
     assert len(n5.atoms()) == 2
 
 
@@ -204,7 +205,7 @@ def test_join_meet_axioms_closed_system():
 
 
 def test_generic_tables_match_mask_tables():
-    g = collinear_ground([0, 1, 2, 3])
+    g = lattices.collinear_ground([0, 1, 2, 3])
     masks = g.enumerate_closed_masks()
     fast = FiniteLattice.from_closed_masks(masks)
     slow = FiniteLattice(fast.labels, fast.leq)   # forces the generic LUB search

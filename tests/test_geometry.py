@@ -178,16 +178,56 @@ def test_faces_square():
     assert frozenset({i00, i11}) not in sets
 
 
+def assert_faces_match_oracle(poly: VPolytope):
+    face_sets = {f.indices for f in poly.faces()}
+    n = len(poly.vertices)
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            s = frozenset(subset)
+            assert (s in face_sets) == supports_face(poly, s), (poly, s)
+
+
 def test_faces_match_supporting_functional_oracle():
     for poly in [VPolytope(TRIANGLE),
                  VPolytope([qp(0, 0), qp(2, 0), qp(2, 2), qp(0, 2)]),
                  standard_simplex(3)]:
-        face_sets = {f.indices for f in poly.faces()}
-        n = len(poly.vertices)
-        for r in range(1, n + 1):
-            for subset in itertools.combinations(range(n), r):
-                s = frozenset(subset)
-                assert (s in face_sets) == supports_face(poly, s), (poly, s)
+        assert_faces_match_oracle(poly)
+
+
+def flat_points(rng: random.Random, k: int, m: int) -> list:
+    """k+1 to k+3 integer points of Q^k under a random affine map into Q^m
+    whose image spans a k-flat."""
+    while True:
+        pts = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rng.randint(k + 1, k + 3))]
+        lin = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(m)]
+        off = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+        image = [tuple(o + sum(a * x for a, x in zip(row, p)) for row, o in zip(lin, off))
+                 for p in pts]
+        if len(set(image)) == len(image) and affine_span_dim(image) == k:
+            return image
+
+
+def test_faces_of_lower_dimensional_polytopes_match_oracle():
+    # the affine chart matters only when the hull is not full-dimensional
+    fixed = [
+        (VPolytope([qp(1, 2, 3), qp(4, 0, -1), qp("5/2", 1, 1)]), 3),       # segment in Q^3
+        (VPolytope([qp(1, 0, 0), qp(0, 1, 0), qp(0, 0, 1)]), 7),            # tilted triangle
+        (VPolytope([qp(0, 0, 0, 0), qp(1, 1, 0, 0), qp(1, 1, 1, -1),
+                    qp(0, 0, 1, -1)]), 9),                                  # square in Q^4
+        (VPolytope([qp(1, 0, 0, 0), qp(0, 1, 0, 0), qp(0, 0, 1, 0),
+                    qp(0, 0, 0, 1)]), 15),                                  # tetrahedron in Q^4
+    ]
+    for poly, count in fixed:
+        assert poly.dim_affine < poly.dim_ambient
+        assert len(poly.faces()) == count
+        assert_faces_match_oracle(poly)
+    rng = random.Random(11)
+    for m in range(2, 5):
+        for k in range(1, m):
+            for _ in range(2):
+                poly = VPolytope(flat_points(rng, k, m))
+                assert (poly.dim_affine, poly.dim_ambient) == (k, m)
+                assert_faces_match_oracle(poly)
 
 
 def test_faces_closed_under_intersection():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattices
 from oracles import dumps_reference
 from relconvex import io as rio
 from relconvex.cli import main
@@ -14,7 +15,6 @@ from relconvex.closure import FiniteGround
 from relconvex.errors import InputError
 from relconvex.geometry import Segment, qp
 from relconvex.intervals import Interval
-from relconvex.lattice import FiniteLattice
 from relconvex.segments import SegmentUnionGround, SubsegmentSet
 
 
@@ -48,7 +48,7 @@ def test_subsegment_roundtrip():
 
 
 def test_lattice_json_and_back():
-    lat = FiniteLattice.m3()
+    lat = lattices.m3()
     doc = rio.lattice_to_json(lat)
     lat2 = rio.lattice_from_json(doc)
     assert lat2.n == 5
@@ -63,7 +63,7 @@ def test_lattice_json_sorted_members():
 
 
 def test_dot_deterministic():
-    lat = FiniteLattice.boolean(2)
+    lat = lattices.boolean(2)
     assert rio.lattice_to_dot(lat) == rio.lattice_to_dot(lat)
 
 

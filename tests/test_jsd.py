@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import lattices
 from oracles import find_m3_reference, jsd_scan_reference
 from relconvex import io as rio
 from relconvex.analysis import check_jsd, find_m3
@@ -24,10 +25,10 @@ from test_cli import NON_LATTICES
 TEMPLATES = Path(__file__).resolve().parent.parent / "perfbench" / "large_grounds.json"
 
 NAMED = {
-    "m3": FiniteLattice.m3,
-    "n5": FiniteLattice.n5,
-    "boolean3": lambda: FiniteLattice.boolean(3),
-    "chain4": lambda: FiniteLattice.chain(4),
+    "m3": lattices.m3,
+    "n5": lattices.n5,
+    "boolean3": lambda: lattices.boolean(3),
+    "chain4": lambda: lattices.chain(4),
 }
 
 

@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
+import lattices
 from oracles import lub_tables_reference, mask_tables_reference
 from relconvex import lattice as lattice_module
 from relconvex.boolsub import _family_code, iter_meet_subsemilattices
+from relconvex.errors import InputError
 from relconvex.lattice import FiniteLattice, NotALatticeError
 from test_closure import random_ground
 
@@ -68,16 +70,16 @@ def test_shuffled_cover_pairs_match_both_references(seed, blocks):
     assert_lub_reference(lat)
 
 
-@pytest.mark.parametrize("lat", [FiniteLattice.m3(), FiniteLattice.n5(), FiniteLattice.chain(1),
-                                 FiniteLattice.chain(6), FiniteLattice.boolean(0),
-                                 FiniteLattice.boolean(4)],
+@pytest.mark.parametrize("lat", [lattices.m3(), lattices.n5(), lattices.chain(1),
+                                 lattices.chain(6), lattices.boolean(0),
+                                 lattices.boolean(4)],
                          ids=["m3", "n5", "chain1", "chain6", "boolean0", "boolean4"])
 def test_named_lattices_match_lub_reference(lat):
     assert_lub_reference(lat)
 
 
 def test_boolean_matches_mask_reference():
-    lat = FiniteLattice.boolean(5)
+    lat = lattices.boolean(5)
     assert_mask_reference(lat, lat.labels)
 
 
@@ -119,3 +121,13 @@ def test_lattice_under_inclusion_that_is_no_closure_system():
     # of {0,1} and {0,2} is ∅, not their intersection {0}
     with pytest.raises(NotALatticeError, match="intersection of closed sets not closed"):
         FiniteLattice.from_closed_masks([0, 3, 5, 7])
+
+
+def test_duplicate_labels_rejected():
+    with pytest.raises(InputError, match="duplicate element labels"):
+        FiniteLattice(["a", "a"], np.triu(np.ones((2, 2), dtype=bool)))
+    lat = lattices.chain(3)
+    with pytest.raises(InputError, match="duplicate element labels"):
+        lat.relabel(["x", "y", "x"])
+    assert lat.labels == [0, 1, 2]
+    assert lat.relabel(["x", "y", "z"]).labels == ["x", "y", "z"]

@@ -5,14 +5,13 @@ import pytest
 from oracles import overlapping_pair, propagated_pieces
 
 from relconvex.errors import InputError
-from relconvex.geometry import Segment, VPolytope, qp
+from relconvex.geometry import Segment, VPolytope, extreme_points, hull_member, qp
 from relconvex.intervals import Interval
 from relconvex.segments import (
     SegmentUnionGround,
     SubsegmentSet,
     check_condition_disjoint,
     check_condition_faces,
-    extreme_points_of_closure,
     face_hom_check,
     face_restriction_check,
     random_closed_set,
@@ -264,19 +263,24 @@ def test_three_lines_shared_origin_represented_everywhere():
 
 # --- extreme points -----------------------------------------------------------------
 
+def carrier_extremes(g: SegmentUnionGround) -> set:
+    """Extreme points of the closed hull, read off the carrier endpoints."""
+    return set(extreme_points([p for s in g.segments for p in (s.a, s.b)]))
+
+
 def test_extreme_points_single_segment():
     g = SegmentUnionGround([Segment(qp(0, 0), qp(2, 2))])
-    assert set(extreme_points_of_closure(g)) == {qp(0, 0), qp(2, 2)}
+    assert carrier_extremes(g) == {qp(0, 0), qp(2, 2)}
 
 
 def test_extreme_points_pm():
-    assert set(extreme_points_of_closure(pm_ground())) == {A_PT, B_PT, C_PT}
+    assert carrier_extremes(pm_ground()) == {A_PT, B_PT, C_PT}
 
 
 def test_extreme_points_crossing_diagonals():
     g = SegmentUnionGround([
         Segment(qp(0, 0), qp(2, 2)), Segment(qp(0, 2), qp(2, 0))])
-    assert set(extreme_points_of_closure(g)) == {qp(0, 0), qp(2, 2), qp(0, 2), qp(2, 0)}
+    assert carrier_extremes(g) == {qp(0, 0), qp(2, 2), qp(0, 2), qp(2, 0)}
 
 
 def test_extreme_points_always_endpoint_closures():
@@ -290,7 +294,9 @@ def test_extreme_points_always_endpoint_closures():
                 segs.append(Segment(a, b))
         g = SegmentUnionGround(segs)
         endpoints = {s.a for s in segs} | {s.b for s in segs}
-        assert set(extreme_points_of_closure(g)) <= endpoints
+        extremes = carrier_extremes(g)
+        assert extremes <= endpoints
+        assert all(hull_member(p, sorted(extremes)) for p in endpoints)
 
 
 # --- face restriction ------------------------------------------------------------------
