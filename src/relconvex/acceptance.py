@@ -375,14 +375,12 @@ CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(verbose: bool = True) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for name, fn in CRITERIA:
         t0 = time.monotonic()
         ok, detail = fn()
         dt = time.monotonic() - t0
         results.append(CriterionResult(name, ok, detail, dt))
-        if verbose:
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} criterion {name}: {detail} [{dt:.1f}s]")
+        print(f"{'PASS' if ok else 'FAIL'} criterion {name}: {detail} [{dt:.1f}s]")
     return results

@@ -1,10 +1,10 @@
 """Decision procedures on finite lattices and closure operators.
 
 Every checker is exhaustive over its quantifiers (no sampling), and each
-negative answer comes with a re-checkable witness.  Join-semidistributivity
-is decided from the meet-irreducibles by one matrix product; its triple scan,
-one numpy pass per element over the join/meet index tables, runs only on a
-failing lattice, to name the first violating triple.
+negative answer comes with a re-checkable witness.  The triple properties
+share one first-witness scan, one numpy pass per element x over the join/meet
+index tables; join-semidistributivity is decided from the meet-irreducibles
+by one matrix product and runs that scan only to name a failing triple.
 """
 
 from __future__ import annotations
@@ -41,6 +41,20 @@ class Witness:
 # semidistributivity and friends
 
 
+def _first_triple(kind: str, rows, elements=None) -> tuple[bool, Optional[Witness]]:
+    """(False, witness) for the first x whose violation matrix ``viol`` is not
+    all False, with (y, z) its first True entry in row-major order, or
+    (True, None).  ``rows`` yields (x, viol); ``elements`` maps the indices
+    y and z to lattice elements."""
+    for x, viol in rows:
+        if viol.any():
+            y, z = np.argwhere(viol)[0]
+            if elements is not None:
+                y, z = elements[y], elements[z]
+            return False, Witness(kind, [int(x), int(y), int(z)], {"roles": ["x", "y", "z"]})
+    return True, None
+
+
 def check_jsd(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
     """x∨y = x∨z implies x∨y = x∨(y∧z), for all triples.
 
@@ -52,16 +66,8 @@ def check_jsd(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
     J, M = lat.join_table, lat.meet_table   # raises NotALatticeError first
     if _kappa_jsd(lat):
         return True, None
-    for x in range(lat.n):
-        jx = J[x]
-        eq = jx[:, None] == jx[None, :]
-        rhs = jx[M]
-        viol = eq & (rhs != jx[:, None])
-        if viol.any():
-            y, z = map(int, np.argwhere(viol)[0])
-            return False, Witness(SDV_VIOLATION, [x, y, z],
-                                  {"roles": ["x", "y", "z"]})
-    return True, None
+    return _first_triple(SDV_VIOLATION, (
+        (x, (jx[:, None] == jx[None, :]) & (jx[M] != jx[:, None])) for x, jx in enumerate(J)))
 
 
 def _kappa_jsd(lat: FiniteLattice) -> bool:
@@ -80,61 +86,41 @@ def _kappa_jsd(lat: FiniteLattice) -> bool:
 def check_distributive(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
     """x∨(y∧z) = (x∨y)∧(x∨z) for all triples."""
     J, M = lat.join_table, lat.meet_table
-    for x in range(lat.n):
-        jx = J[x]
-        lhs = jx[M]
-        rhs = M[jx[:, None], jx[None, :]]
-        viol = lhs != rhs
-        if viol.any():
-            y, z = map(int, np.argwhere(viol)[0])
-            return False, Witness(DISTRIBUTIVITY_VIOLATION, [x, y, z],
-                                  {"roles": ["x", "y", "z"]})
-    return True, None
+    return _first_triple(DISTRIBUTIVITY_VIOLATION, (
+        (x, jx[M] != M[jx[:, None], jx[None, :]]) for x, jx in enumerate(J)))
 
 
 def check_weak_atom_property(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
     """For atoms y, z: x∨y = x∨z forces y = z or y, z both below x."""
-    atoms = lat.atoms()
-    if not atoms:
-        return True, None
+    at = np.array(lat.atoms(), dtype=np.intp)
     J, leq = lat.join_table, lat.leq
-    at = np.array(atoms)
-    for x in range(lat.n):
-        jxa = J[x, at]
-        below = leq[at, x]
-        eq = jxa[:, None] == jxa[None, :]
-        ok = below[:, None] & below[None, :]
-        viol = eq & ~ok & ~np.eye(len(at), dtype=bool)
-        if viol.any():
-            i, j = map(int, np.argwhere(viol)[0])
-            return False, Witness(WEAK_ATOM_VIOLATION, [x, int(at[i]), int(at[j])],
-                                  {"roles": ["x", "y", "z"]})
-    return True, None
+    distinct = ~np.eye(len(at), dtype=bool)
+
+    def rows():
+        for x in range(lat.n):
+            jxa, below = J[x, at], leq[at, x]
+            yield x, (jxa[:, None] == jxa[None, :]) & ~(below[:, None] & below[None, :]) & distinct
+
+    return _first_triple(WEAK_ATOM_VIOLATION, rows(), at)
 
 
 def check_biatomic(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
     """Every atom below y∨z (y, z nonzero) is below a join of atoms
     y' <= y, z' <= z."""
     atoms = lat.atoms()
-    if not atoms:
-        return True, None
     J, leq = lat.join_table, lat.leq
-    at = np.array(atoms)
-    bot = lat.bottom()
-    nonzero = np.ones(lat.n, dtype=bool)
-    nonzero[bot] = False
+    at = np.array(atoms, dtype=np.intp)
+    nonzero = np.arange(lat.n) != lat.bottom()
     BM = leq[at, :].T.astype(np.float64)          # BM[y, k]: atom k below y
     JA = J[np.ix_(at, at)]
-    for x in atoms:
-        P = leq[x][JA].astype(np.float64)         # P[k, l]: x <= a_k ∨ a_l
-        Q = (BM @ P @ BM.T) > 0
-        need = leq[x, J] & nonzero[:, None] & nonzero[None, :]
-        viol = need & ~Q
-        if viol.any():
-            y, z = map(int, np.argwhere(viol)[0])
-            return False, Witness(BIATOMICITY_VIOLATION, [int(x), y, z],
-                                  {"roles": ["x", "y", "z"]})
-    return True, None
+
+    def rows():
+        for x in atoms:
+            P = leq[x][JA].astype(np.float64)     # P[k, l]: x <= a_k ∨ a_l
+            Q = (BM @ P @ BM.T) > 0
+            yield x, leq[x, J] & nonzero[:, None] & nonzero[None, :] & ~Q
+
+    return _first_triple(BIATOMICITY_VIOLATION, rows())
 
 
 def find_m3(lat: FiniteLattice) -> Optional[Witness]:
@@ -225,52 +211,38 @@ def check_anti_exchange(operator) -> tuple[bool, Optional[Witness]]:
 def d_relation(lat: FiniteLattice) -> dict[int, list[int]]:
     """Directed graph a -> b on join-irreducibles: some p gives a <= b∨p
     while a is not below c∨p for any c < b (equivalently for the unique
-    lower cover of b)."""
+    lower cover c of b).  Each b is tested against every a in one pass."""
     jis = lat.join_irreducibles()
     J, leq = lat.join_table, lat.leq
-    lower = {b: lat.lower_cover_of(b) for b in jis}
+    lower = lat.covers_matrix()[:, jis].argmax(axis=0)    # each b's one lower cover
     out: dict[int, list[int]] = {a: [] for a in jis}
-    for a in jis:
-        for b in jis:
-            if a == b:
-                continue
-            cond = leq[a, J[b]] & ~leq[a, J[lower[b]]]
-            if cond.any():
-                out[a].append(b)
+    for b, c in zip(jis, lower):
+        hit = (leq[np.ix_(jis, J[b])] & ~leq[np.ix_(jis, J[c])]).any(axis=1)
+        for i in np.flatnonzero(hit):
+            if jis[i] != b:
+                out[jis[i]].append(b)
     return out
 
 
 def find_d_cycle(graph: dict[int, list[int]]) -> Optional[list[int]]:
-    """A directed cycle in the relation, as a node list (first == last)."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph}
-    parent: dict[int, int] = {}
+    """A directed cycle in the relation, as a node list (first == last): the
+    first back edge of a depth-first search that keeps its path, with one
+    iterator over the unvisited successors of each node on it."""
+    done: set[int] = set()
     for root in graph:
-        if color[root] != WHITE:
+        if root in done:
             continue
-        stack = [(root, iter(graph[root]))]
-        color[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(graph[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == GREY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+        path, branches = [root], [iter(graph[root])]
+        while branches:
+            nxt = next(branches[-1], None)
+            if nxt is None:
+                done.add(path.pop())
+                branches.pop()
+            elif nxt in path:
+                return path[path.index(nxt):] + [nxt]
+            elif nxt not in done:
+                path.append(nxt)
+                branches.append(iter(graph[nxt]))
     return None
 
 

@@ -100,6 +100,10 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+LATTICE_CHECKS = {"jsd": check_jsd, "lb": check_lower_bounded,
+                  "biatomic": check_biatomic, "weakatom": check_weak_atom_property}
+
+
 def cmd_check(args) -> int:
     data = _load_json(args.input)
     kind = data.get("type")
@@ -118,17 +122,11 @@ def cmd_check(args) -> int:
             lat = rio.lattice_from_json(data)
         else:
             raise InputError("expected a finite-ground or lattice file")
-        if args.property == "jsd":
-            ok, witness = check_jsd(lat)
-        elif args.property == "lb":
-            ok, witness = check_lower_bounded(lat)
-        elif args.property == "biatomic":
-            ok, witness = check_biatomic(lat)
-        elif args.property == "weakatom":
-            ok, witness = check_weak_atom_property(lat)
-        else:  # m3: "found" counts as the violation
+        if args.property == "m3":   # "found" counts as the violation
             witness = find_m3(lat)
             ok = witness is None
+        else:
+            ok, witness = LATTICE_CHECKS[args.property](lat)
     _write(args, f"check_{args.property}.json",
            rio.dumps(_report(args, args.property, ok, witness)))
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -217,7 +215,7 @@ def cmd_segments(args) -> int:
 def cmd_verify_paper(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     payload = {
         "schema_version": rio.SCHEMA_VERSION,
         "check": "acceptance-suite",

@@ -309,7 +309,7 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
                 excluded = {p_pts[(i, j)] for j in A - {i}}
                 cands = [v for v in u.vertices if v not in excluded]
                 for fc in u.faces():
-                    if len(fc.indices) == 2 and fc.dim == 1:
+                    if len(fc.indices) == 2:
                         a, b = fc.vertices
                         cands.append(interpolate(a, b, Fraction(1, 2)))
                 choices[i] = cands
@@ -353,7 +353,7 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
 # ground set and the verified embedding
 
 
-def build_ground_set(n: int, amounts: Optional[Sequence[Fraction]] = None):
+def build_ground_set(n: int):
     """The center plus the vertices of every proper-face copy.
 
     Returns (construction, ground, labels); labels[i] is "v" for the center
@@ -361,7 +361,7 @@ def build_ground_set(n: int, amounts: Optional[Sequence[Fraction]] = None):
     """
     if n not in (1, 2, 3):
         raise ResourceLimitError("ground-set construction supported for n in {1, 2, 3}")
-    ctor = build_construction(n, amounts)
+    ctor = build_construction(n)
     pts: list[Point] = [ctor.center]
     labels: list = ["v"]
     for size in range(1, n + 1):
@@ -397,8 +397,7 @@ class EmbeddingWitness:
                 and self.report["join_preserving"] and self.report["lower_bounded"])
 
 
-def build_embedding(n: int, *, allow_large: bool = False,
-                    amounts: Optional[Sequence[Fraction]] = None) -> EmbeddingWitness:
+def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
     """Construct X, map every top-containing meet-closed family S to the
     trace of its face-interior union on X, and machine-verify that the map
     is a lattice embedding of a lower bounded lattice (the source, as the
@@ -417,7 +416,7 @@ def build_embedding(n: int, *, allow_large: bool = False,
     if n not in (1, 2) and not (n == 3 and allow_large):
         raise ResourceLimitError("embedding verification supported for n in {1, 2} "
                                  "(n = 3 behind allow_large)")
-    ctor, ground, labels = build_ground_set(n, amounts)
+    ctor, ground, labels = build_ground_set(n)
     lemma_report = verify_lemmas(ctor)
 
     full = full_mask(n)

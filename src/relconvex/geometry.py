@@ -384,17 +384,9 @@ class VPolytope:
         if self.dim_affine > MAX_FACE_DIM:
             raise UnsupportedDimension(
                 f"face enumeration supported up to affine dimension {MAX_FACE_DIM}")
-        whole = frozenset(range(len(self.vertices)))
-        closed: set[frozenset[int]] = {whole} | set(self.facets())
-        changed = True
-        while changed:
-            changed = False
-            current = list(closed)
-            for a, b in itertools.combinations(current, 2):
-                c = a & b
-                if c and c not in closed:
-                    closed.add(c)
-                    changed = True
+        closed: set[frozenset[int]] = {frozenset(range(len(self.vertices)))}
+        for f in self.facets():     # after f: every nonempty meet of facets so far
+            closed |= {c & f for c in closed if c & f}
         ordered = sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
         self._faces = [Face(self, s) for s in ordered]
         return self._faces
@@ -408,10 +400,6 @@ class Face:
     @property
     def vertices(self) -> tuple[Point, ...]:
         return tuple(self.polytope.vertices[i] for i in sorted(self.indices))
-
-    @property
-    def dim(self) -> int:
-        return affine_span_dim(self.vertices)
 
     @property
     def is_proper(self) -> bool:

@@ -58,6 +58,13 @@ def _int(v, what: str) -> int:
     return v
 
 
+def _subset_key(k: str) -> int:
+    """int(k) if str() writes it back as k, so "+3", " 3" and "03" fail."""
+    if str(int(k)) != k:
+        raise InputError(f"closure table key {k!r} is not a canonical decimal integer")
+    return int(k)
+
+
 def _flag(v, what: str) -> bool:
     """v if it is a JSON boolean; 0, 1 or "false" is an InputError."""
     if not isinstance(v, bool):
@@ -171,7 +178,7 @@ def closure_table_from_json(data: dict):
     if data.get("type") != "closure-table":
         raise InputError("expected a closure-table document")
     n = _int(data["n"], "closure-table n")
-    table = {int(k): _int(v, f"closure of {k}") for k, v in data["closure"].items()}
+    table = {_subset_key(k): _int(v, f"closure of {k}") for k, v in data["closure"].items()}
     return ClosureTable(n, table)
 
 

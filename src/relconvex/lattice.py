@@ -142,14 +142,6 @@ class FiniteLattice:
     def join_irreducibles(self) -> list[int]:
         return [int(i) for i in np.nonzero(self.covers_matrix().sum(axis=0) == 1)[0]]
 
-    def lower_cover_of(self, i: int) -> int:
-        """The unique lower cover of a join-irreducible element."""
-        cm = self.covers_matrix()
-        lows = np.nonzero(cm[:, i])[0]
-        if len(lows) != 1:
-            raise InputError(f"element {i} is not join-irreducible")
-        return int(lows[0])
-
     def __repr__(self):
         return f"FiniteLattice({self.n} elements)"
 

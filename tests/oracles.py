@@ -11,7 +11,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from relconvex import linalg, lp
-from relconvex.analysis import M3_SUBLATTICE, SDV_VIOLATION, Witness
+from relconvex.analysis import (
+    BIATOMICITY_VIOLATION,
+    DISTRIBUTIVITY_VIOLATION,
+    M3_SUBLATTICE,
+    SDV_VIOLATION,
+    WEAK_ATOM_VIOLATION,
+    Witness,
+)
 from relconvex.embedding import _shrink_labeled
 from relconvex.errors import ConstructionError, InputError
 from relconvex.geometry import Point, Segment, VPolytope, interpolate, sub
@@ -435,6 +442,127 @@ def jsd_scan_reference(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
             return False, Witness(SDV_VIOLATION, [x, y, z],
                                   {"roles": ["x", "y", "z"]})
     return True, None
+
+
+def distributive_reference(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
+    """x∨(y∧z) = (x∨y)∧(x∨z) for all triples."""
+    J, M = lat.join_table, lat.meet_table
+    for x in range(lat.n):
+        jx = J[x]
+        lhs = jx[M]
+        rhs = M[jx[:, None], jx[None, :]]
+        viol = lhs != rhs
+        if viol.any():
+            y, z = map(int, np.argwhere(viol)[0])
+            return False, Witness(DISTRIBUTIVITY_VIOLATION, [x, y, z],
+                                  {"roles": ["x", "y", "z"]})
+    return True, None
+
+
+def weak_atom_reference(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
+    """For atoms y, z: x∨y = x∨z forces y = z or y, z both below x."""
+    atoms = lat.atoms()
+    if not atoms:
+        return True, None
+    J, leq = lat.join_table, lat.leq
+    at = np.array(atoms)
+    for x in range(lat.n):
+        jxa = J[x, at]
+        below = leq[at, x]
+        eq = jxa[:, None] == jxa[None, :]
+        ok = below[:, None] & below[None, :]
+        viol = eq & ~ok & ~np.eye(len(at), dtype=bool)
+        if viol.any():
+            i, j = map(int, np.argwhere(viol)[0])
+            return False, Witness(WEAK_ATOM_VIOLATION, [x, int(at[i]), int(at[j])],
+                                  {"roles": ["x", "y", "z"]})
+    return True, None
+
+
+def biatomic_reference(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
+    """Every atom below y∨z (y, z nonzero) is below a join of atoms
+    y' <= y, z' <= z."""
+    atoms = lat.atoms()
+    if not atoms:
+        return True, None
+    J, leq = lat.join_table, lat.leq
+    at = np.array(atoms)
+    bot = lat.bottom()
+    nonzero = np.ones(lat.n, dtype=bool)
+    nonzero[bot] = False
+    BM = leq[at, :].T.astype(np.float64)          # BM[y, k]: atom k below y
+    JA = J[np.ix_(at, at)]
+    for x in atoms:
+        P = leq[x][JA].astype(np.float64)         # P[k, l]: x <= a_k ∨ a_l
+        Q = (BM @ P @ BM.T) > 0
+        need = leq[x, J] & nonzero[:, None] & nonzero[None, :]
+        viol = need & ~Q
+        if viol.any():
+            y, z = map(int, np.argwhere(viol)[0])
+            return False, Witness(BIATOMICITY_VIOLATION, [int(x), y, z],
+                                  {"roles": ["x", "y", "z"]})
+    return True, None
+
+
+def lower_cover_of(lat: FiniteLattice, i: int) -> int:
+    """The unique lower cover of a join-irreducible element."""
+    cm = lat.covers_matrix()
+    lows = np.nonzero(cm[:, i])[0]
+    if len(lows) != 1:
+        raise InputError(f"element {i} is not join-irreducible")
+    return int(lows[0])
+
+
+def d_relation_reference(lat: FiniteLattice) -> dict[int, list[int]]:
+    """Directed graph a -> b on join-irreducibles: some p gives a <= b∨p
+    while a is not below c∨p for any c < b (equivalently for the unique
+    lower cover of b)."""
+    jis = lat.join_irreducibles()
+    J, leq = lat.join_table, lat.leq
+    lower = {b: lower_cover_of(lat, b) for b in jis}
+    out: dict[int, list[int]] = {a: [] for a in jis}
+    for a in jis:
+        for b in jis:
+            if a == b:
+                continue
+            cond = leq[a, J[b]] & ~leq[a, J[lower[b]]]
+            if cond.any():
+                out[a].append(b)
+    return out
+
+
+def find_d_cycle_reference(graph: dict[int, list[int]]) -> Optional[list[int]]:
+    """A directed cycle in the relation, as a node list (first == last)."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in graph}
+    parent: dict[int, int] = {}
+    for root in graph:
+        if color[root] != WHITE:
+            continue
+        stack = [(root, iter(graph[root]))]
+        color[root] = GREY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    parent[nxt] = node
+                    stack.append((nxt, iter(graph[nxt])))
+                    advanced = True
+                    break
+                if color[nxt] == GREY:
+                    cycle = [nxt, node]
+                    cur = node
+                    while cur != nxt:
+                        cur = parent[cur]
+                        cycle.append(cur)
+                    cycle.reverse()
+                    return cycle
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+    return None
 
 
 def find_m3_reference(lat: FiniteLattice) -> Optional[Witness]:

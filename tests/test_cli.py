@@ -220,6 +220,19 @@ def test_negative_cover_index_exit_1(tmp_path, capsys):
         "error": "input", "reason": "cover index -1 outside elements 0..3"}
 
 
+@pytest.mark.parametrize("key", ["+3", " 0_3", "3 ", "03"],
+                         ids=["plus", "space-underscore", "trailing-space", "leading-zero"])
+def test_closure_table_key_not_canonical_exit_1(tmp_path, capsys, key):
+    # int() reads each of these as subset 3, so it could stand in for the key "3"
+    closure = {"0": 0, "1": 3, "2": 3, key: 3}
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"type": "closure-table", "n": 2, "closure": closure}))
+    code = main(["check", "antiexchange", "--input", str(table)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "input", "reason": f"closure table key {key!r} is not a canonical decimal integer"}
+
+
 def test_closure_table_key_outside_subsets_exit_1(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"type": "closure-table", "n": 2, "closure": {
@@ -300,11 +313,21 @@ NON_LATTICES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NON_LATTICES))
-def test_check_jsd_on_non_lattice_exit_1(tmp_path, capsys, name):
+# the atom checks ask for the bottom element before any join or meet
+NO_BOTTOM_FIRST = {("biatomic", "vee"), ("biatomic", "bowtie"),
+                   ("weakatom", "vee"), ("weakatom", "bowtie")}
+LATTICE_PROPERTIES = ["jsd", "lb", "biatomic", "weakatom", "m3"]
+
+
+@pytest.mark.parametrize("prop,name", [(p, n) for p in LATTICE_PROPERTIES
+                                       for n in sorted(NON_LATTICES)],
+                         ids=lambda v: v)
+def test_check_on_non_lattice_exit_1(tmp_path, capsys, prop, name):
     elements, covers, reason = NON_LATTICES[name]
+    if (prop, name) in NO_BOTTOM_FIRST:
+        reason = "no unique bottom element"
     doc = tmp_path / f"{name}.json"
     doc.write_text(json.dumps({"type": "lattice", "elements": elements, "covers": covers}))
-    code = main(["check", "jsd", "--input", str(doc)])
+    code = main(["check", prop, "--input", str(doc)])
     assert code == 1
     assert json.loads(capsys.readouterr().err) == {"error": "input", "reason": reason}
