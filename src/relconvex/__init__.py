@@ -57,7 +57,6 @@ from .geometry import (
     extreme_points,
     hull_member,
     qp,
-    segment_hull_intersection,
     standard_simplex,
     strict_hull_member,
 )

@@ -32,6 +32,7 @@ from .geometry import (
     Segment,
     VPolytope,
     caratheodory_witness,
+    combination,
     hull_member,
     qp,
     standard_simplex,
@@ -267,8 +268,7 @@ def _random_combination(rng: random.Random, verts: Sequence[Point]) -> Point:
     (the origin when every weight is 0)."""
     w = [Fraction(rng.randint(0, 3)) for _ in verts]
     tot = sum(w) or Fraction(1)
-    return tuple(sum(wi * v[k] for wi, v in zip(w, verts)) / tot
-                 for k in range(len(verts[0])))
+    return combination([wi / tot for wi in w], verts)
 
 
 def criterion_8_face_restriction_suite() -> tuple[bool, str]:
@@ -318,19 +318,13 @@ def _two_step_witness_valid(q: Point, subset, coords) -> bool:
     """Certify a Carathéodory witness by the two-step segment construction:
     split the containing subset into two halves, blend each half to a point
     x, y on its generator segment, and check q = m1 x + m2 y exactly."""
-    dim = len(q)
     half = (len(subset) + 1) // 2
     m1 = sum(coords[:half])
     m2 = sum(coords[half:])
     if m1 == 0 or m2 == 0:
         return True     # a single pair (or point) suffices
-
-    def blend(ws, ps):
-        tot = sum(ws)
-        return tuple(sum(w * p[k] for w, p in zip(ws, ps)) / tot for k in range(dim))
-
-    x = blend(coords[:half], subset[:half])
-    y = blend(coords[half:], subset[half:])
+    x = combination([w / m1 for w in coords[:half]], subset[:half])
+    y = combination([w / m2 for w in coords[half:]], subset[half:])
     return tuple(m1 * xv + m2 * yv for xv, yv in zip(x, y)) == q
 
 
@@ -349,8 +343,7 @@ def criterion_9_oracle_equivalence() -> tuple[bool, str]:
         if rng.random() < 0.5 and len(pts) >= 2:
             w = [Fraction(rng.randint(0, 4)) for _ in pts]
             tot = sum(w) or Fraction(1)
-            q = tuple(sum(wi * p[k] for wi, p in zip(w, pts)) / tot
-                      for k in range(dim))
+            q = combination([wi / tot for wi in w], pts)
         else:
             q = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2))
                       for _ in range(dim))

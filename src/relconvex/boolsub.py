@@ -26,8 +26,9 @@ from .geometry import (
     Point,
     VPolytope,
     affine_coordinates,
-    affinely_independent,
+    affine_span_dim,
     centroid,
+    combination,
     strict_hull_member,
 )
 from .lattice import FiniteLattice
@@ -107,12 +108,21 @@ def subm_lattice(n: int, families: Optional[Iterable[frozenset[int]]] = None) ->
 
 def check_simplex(simplex: VPolytope) -> int:
     """Validate that the polytope is a simplex; returns n (ambient dim)."""
-    if not affinely_independent(simplex.vertices):
+    if affine_span_dim(simplex.vertices) != len(simplex.vertices) - 1:
         raise InputError("base polytope must have affinely independent vertices")
     n = simplex.dim_ambient
     if len(simplex.vertices) != n + 1:
         raise InputError("base simplex must have n+1 vertices")
     return n
+
+
+def face_support(q: Point, simplex: VPolytope) -> Optional[int]:
+    """Mask of the positive barycentric coordinates of q (the open face
+    holding q), or None when q lies outside the simplex."""
+    coords = affine_coordinates(q, simplex.vertices)
+    if coords is None or any(c < 0 for c in coords):
+        return None
+    return sum(1 << i for i, c in enumerate(coords) if c > 0)
 
 
 @dataclass(frozen=True)
@@ -127,14 +137,8 @@ class OpenFaceSet:
     simplex: VPolytope
     pieces: frozenset[int]
 
-    def piece_support(self, q: Point) -> Optional[int]:
-        coords = affine_coordinates(q, self.simplex.vertices)
-        if coords is None or any(c < 0 for c in coords):
-            return None
-        return sum(1 << i for i, c in enumerate(coords) if c > 0)
-
     def contains(self, q: Point) -> bool:
-        support = self.piece_support(q)
+        support = face_support(q, self.simplex)
         return support is not None and support in self.pieces
 
     def as_generators(self) -> Optional[MixedGenerators]:
@@ -198,11 +202,6 @@ def _support_samples(support: int, n: int) -> list[tuple[Fraction, ...]]:
     return sorted(out)
 
 
-def _point_from_coords(coords: tuple[Fraction, ...], verts: tuple[Point, ...]) -> Point:
-    dim = len(verts[0])
-    return tuple(sum(c * v[k] for c, v in zip(coords, verts)) for k in range(dim))
-
-
 def verify_claim_join(a: int, b: int, simplex: VPolytope) -> tuple[bool, dict]:
     """Certify hull(psi(a) ∪ psi(b)) = psi(a) ∪ psi(b) ∪ psi(a∩b).
 
@@ -264,7 +263,7 @@ def verify_claim_join(a: int, b: int, simplex: VPolytope) -> tuple[bool, dict]:
                 z = tuple(lam * xv + (1 - lam) * yv for xv, yv in zip(x, y))
                 ok = z == coords
             if ok:
-                point = _point_from_coords(coords, verts)
+                point = combination(coords, verts)
                 ok = strict_hull_member(point, gens)
             if not ok:
                 detail["sample_failure"] = {"coords": [str(c) for c in coords]}

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
 from .analysis import LatticeMap, Witness, check_lower_bounded, map_defects
-from .boolsub import OpenFaceSet, full_mask, iter_meet_subsemilattices, subm_lattice
+from .boolsub import OpenFaceSet, face_support, full_mask, iter_meet_subsemilattices, subm_lattice
 from .closure import FiniteGround
 from .errors import ConstructionError, InputError, ResourceLimitError
 from .geometry import (
@@ -215,29 +214,10 @@ class LemmaReport:
         return out
 
 
-def _affine_functional(zero_pts: Sequence[Point], one_pt: Point):
-    """An affine functional vanishing on zero_pts with value 1 at one_pt.
-
-    Returns an evaluator, or None when no such functional exists.  The
-    values on the affine hull of the defining points are unique.
-    """
-    n = len(one_pt)
-    rows = []
-    rhs = []
-    for p in zero_pts:
-        rows.append(list(p) + [Fraction(1)])
-        rhs.append(Fraction(0))
-    rows.append(list(one_pt) + [Fraction(1)])
-    rhs.append(Fraction(1))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    w = sol[0]
-
-    def evaluate(q: Point) -> Fraction:
-        return sum((wi * qi for wi, qi in zip(w[:n], q)), Fraction(0)) + w[n]
-
-    return evaluate
+def _barycentric(q: Point) -> Point:
+    """Barycentric coordinates of q on standard_simplex(n), one per vertex:
+    (1 - sum(q), q_1, ..., q_n)."""
+    return (1 - sum(q),) + q
 
 
 def verify_lemmas(ctor: Construction) -> LemmaReport:
@@ -245,7 +225,8 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
 
     slab(A, j): the corner prism T(A, j) lies between the face hyperplane
         and the parallel shrunken hyperplane, so its overlap with the
-        shrunken copy P_A is contained in the shrunken-side face.
+        shrunken copy P_A is contained in the shrunken-side face.  Both
+        hyperplanes are levels of lambda_j on the standard simplex ctor.base.
     corner-in-prisms(A, i): U(A, i) sits inside every T(A, j), j != i.
     prism-face-pinch(A, i, j): U(A, i) meets the shrunken-side face of
         T(A, j) exactly in the corner point p(i, A, j).
@@ -260,92 +241,81 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
     n = ctor.n
     base = ctor.base
     verts = base.vertices
-    for size in range(2, n + 2):
-        for A in _sets_of_size(n, size):
-            ratio = 1 - ctor.amounts[n + 1 - size]
-            copy = ctor.copies[A]
-            p_pts = {(i, j): p_point(base, i, A, j, ratio)
-                     for j in A for i in A - {j}}
-            t_polys = {j: t_polytope(base, A, ratio, j) for j in A}
-            u_polys = {i: u_polytope(base, A, ratio, i) for i in A}
-
-            for j in sorted(A):
-                f = _affine_functional([verts[k] for k in sorted(A - {j})], verts[j])
-                if f is None:
-                    rep.add("slab", (tuple(sorted(A)), j), False, "no functional")
-                    continue
-                hs = {f(p_pts[(i, j)]) for i in A - {j}}
-                ok = len(hs) == 1
-                h = next(iter(hs))
-                ok = ok and 0 < h < 1
-                ok = ok and all(f(copy[k]) == h for k in A - {j})
-                ok = ok and f(copy[j]) > h
-                ok = ok and all(f(verts[i]) == 0 for i in A - {j})
-                rep.add("slab", (tuple(sorted(A)), j), ok)
-
-            for i in sorted(A):
-                ok = all(hull_member(w, t_polys[j].vertices)
-                         for j in A - {i} for w in u_polys[i].vertices)
-                rep.add("corner-in-prisms", (tuple(sorted(A)), i), ok)
-
-            for i in sorted(A):
-                for j in sorted(A - {i}):
-                    sprime = [p_pts[(m, j)] for m in sorted(A - {j})]
-                    t_verts = t_polys[j].vertices
-                    if any(p not in t_verts for p in sprime):
-                        rep.add("prism-face-pinch", (tuple(sorted(A)), i, j), False,
-                                "shrunken-side points are not prism vertices")
-                        continue
-                    face_idx = frozenset(t_verts.index(p) for p in sprime)
-                    is_face = any(fc.indices == face_idx for fc in t_polys[j].faces())
-                    hits = [w for w in u_polys[i].vertices
-                            if hull_member(w, sprime)]
-                    ok = is_face and hits == [p_pts[(i, j)]]
-                    rep.add("prism-face-pinch", (tuple(sorted(A)), i, j), ok)
-
-            choices = {}
-            for i in sorted(A):
-                u = u_polys[i]
-                excluded = {p_pts[(i, j)] for j in A - {i}}
-                cands = [v for v in u.vertices if v not in excluded]
-                for fc in u.faces():
-                    if len(fc.indices) == 2:
-                        a, b = fc.vertices
-                        cands.append(interpolate(a, b, Fraction(1, 2)))
-                choices[i] = cands
-            tuples = list(itertools.product(*(choices[i] for i in sorted(A))))
-            ok = True
-            for qs in tuples:
-                gens = MixedGenerators(open_faces=(tuple(qs),))
-                if not all(strict_hull_member(w, gens) for w in copy.values()):
-                    ok = False
-                    break
-            rep.add("interior-span", (tuple(sorted(A)),), ok,
-                    f"{len(tuples)} corner samples")
-
-            if size >= 3:
-                next_amount = ctor.amounts[n + 2 - size]
-                for i, j in itertools.combinations(sorted(A), 2):
-                    ci = ctor.copies[A - {i}]
-                    cj = ctor.copies[A - {j}]
-                    expected_i = _shrink_labeled({m: verts[m] for m in A - {i}}, next_amount)
-                    ok = ci == expected_i
-                    gen = tuple(ci.values()) + tuple(cj.values())
-                    gens = MixedGenerators(open_faces=(gen,))
-                    ok = ok and all(strict_hull_member(w, gens) for w in copy.values())
-                    rep.add("level-nesting", (tuple(sorted(A)), i, j), ok)
-
+    if verts != standard_simplex(n).vertices:
+        raise InputError("lemma certificates need the standard simplex as base")
     subsets = [frozenset(s) for size in range(1, n + 2)
                for s in itertools.combinations(range(n + 1), size)]
-    for A in subsets:
-        for B in subsets:
-            if A < B:
-                for i in sorted(A):
-                    small = (u_polytope(base, A, 1 - ctor.amounts[n + 1 - len(A)], i)
-                             if len(A) >= 2 else VPolytope([verts[i]]))
-                    big = u_polytope(base, B, 1 - ctor.amounts[n + 1 - len(B)], i)
-                    ok = all(hull_member(w, big.vertices) for w in small.vertices)
-                    rep.add("corner-monotone", (tuple(sorted(A)), tuple(sorted(B)), i), ok)
+    corners = {(A, i): u_polytope(base, A, 1 - ctor.amounts[n + 1 - len(A)], i)
+               for A in subsets for i in sorted(A)}
+    for A in subsets[n + 1:]:       # |A| >= 2: the n + 1 singletons come first
+        ratio = 1 - ctor.amounts[n + 1 - len(A)]
+        copy = ctor.copies[A]
+        p_pts = {(i, j): p_point(base, i, A, j, ratio)
+                 for j in A for i in A - {j}}
+        t_polys = {j: t_polytope(base, A, ratio, j) for j in A}
+
+        for j in sorted(A):
+            others = A - {j}
+            hs = {_barycentric(p_pts[(i, j)])[j] for i in others}
+            h = next(iter(hs))
+            ok = (len(hs) == 1 and 0 < h < 1
+                  and all(_barycentric(copy[k])[j] == h for k in others)
+                  and _barycentric(copy[j])[j] > h
+                  and all(_barycentric(verts[i])[j] == 0 for i in others))
+            rep.add("slab", (tuple(sorted(A)), j), ok)
+
+        for i in sorted(A):
+            ok = all(hull_member(w, t_polys[j].vertices)
+                     for j in A - {i} for w in corners[A, i].vertices)
+            rep.add("corner-in-prisms", (tuple(sorted(A)), i), ok)
+
+        for i in sorted(A):
+            for j in sorted(A - {i}):
+                sprime = [p_pts[(m, j)] for m in sorted(A - {j})]
+                t_verts = t_polys[j].vertices
+                if any(p not in t_verts for p in sprime):
+                    rep.add("prism-face-pinch", (tuple(sorted(A)), i, j), False,
+                            "shrunken-side points are not prism vertices")
+                    continue
+                face_idx = frozenset(t_verts.index(p) for p in sprime)
+                is_face = any(fc.indices == face_idx for fc in t_polys[j].faces())
+                hits = [w for w in corners[A, i].vertices if hull_member(w, sprime)]
+                ok = is_face and hits == [p_pts[(i, j)]]
+                rep.add("prism-face-pinch", (tuple(sorted(A)), i, j), ok)
+
+        choices = {}
+        for i in sorted(A):
+            u = corners[A, i]
+            excluded = {p_pts[(i, j)] for j in A - {i}}
+            cands = [v for v in u.vertices if v not in excluded]
+            for fc in u.faces():
+                if len(fc.indices) == 2:
+                    a, b = fc.vertices
+                    cands.append(interpolate(a, b, Fraction(1, 2)))
+            choices[i] = cands
+        tuples = list(itertools.product(*(choices[i] for i in sorted(A))))
+        ok = all(all(strict_hull_member(w, gens) for w in copy.values())
+                 for gens in (MixedGenerators(open_faces=(qs,)) for qs in tuples))
+        rep.add("interior-span", (tuple(sorted(A)),), ok,
+                f"{len(tuples)} corner samples")
+
+        if len(A) >= 3:
+            next_amount = ctor.amounts[n + 2 - len(A)]
+            for i, j in itertools.combinations(sorted(A), 2):
+                ci = ctor.copies[A - {i}]
+                cj = ctor.copies[A - {j}]
+                expected_i = _shrink_labeled({m: verts[m] for m in A - {i}}, next_amount)
+                ok = ci == expected_i
+                gen = tuple(ci.values()) + tuple(cj.values())
+                gens = MixedGenerators(open_faces=(gen,))
+                ok = ok and all(strict_hull_member(w, gens) for w in copy.values())
+                rep.add("level-nesting", (tuple(sorted(A)), i, j), ok)
+
+    for A, B in itertools.product(subsets, repeat=2):
+        if A < B:
+            for i in sorted(A):
+                ok = all(hull_member(w, corners[B, i].vertices) for w in corners[A, i].vertices)
+                rep.add("corner-monotone", (tuple(sorted(A)), tuple(sorted(B)), i), ok)
     return rep
 
 
@@ -426,17 +396,16 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
     target = ground.lattice(max_ground=ground.n)
 
     base = ctor.base
-    support_of = OpenFaceSet(base, frozenset()).piece_support
+    piece_gens = {piece: OpenFaceSet(base, frozenset({piece})).as_generators()
+                  for piece in range(1, full + 1)}
     supports = []
     audit_ok = True
     for x in ground.points:
-        s = support_of(x)
+        s = face_support(x, base)
         assert s is not None
         supports.append(s)
-        for piece in range(1, full + 1):
-            gens = OpenFaceSet(base, frozenset({piece})).as_generators()
-            member = strict_hull_member(x, gens)
-            if member != (piece == s):
+        for piece, gens in piece_gens.items():
+            if strict_hull_member(x, gens) != (piece == s):
                 audit_ok = False
 
     target_index = {m: i for i, m in enumerate(target.labels)}

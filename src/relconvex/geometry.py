@@ -49,10 +49,14 @@ def interpolate(a: Point, b: Point, t: Fraction) -> Point:
     return tuple(x + t * (y - x) for x, y in zip(a, b))
 
 
-def centroid(pts: Sequence[Point]) -> Point:
-    n = Fraction(len(pts))
+def combination(weights: Sequence[Fraction], pts: Sequence[Point]) -> Point:
+    """The point sum(w_i * p_i); the weights are taken as given."""
     dim = _check_dim(pts)
-    return tuple(sum(p[k] for p in pts) / n for k in range(dim))
+    return tuple(sum(w * p[k] for w, p in zip(weights, pts)) for k in range(dim))
+
+
+def centroid(pts: Sequence[Point]) -> Point:
+    return combination([Fraction(1, len(pts) or 1)] * len(pts), pts)  # empty: InputError
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,6 @@ def affine_coordinates(q: Point, pts: Sequence[Point]):
     return sol[0]
 
 
-def affinely_independent(pts: Sequence[Point]) -> bool:
-    if len(pts) <= 1:
-        return True
-    diffs = [sub(p, pts[0]) for p in pts[1:]]
-    return linalg.rank(diffs) == len(pts) - 1
-
-
 def affine_span_dim(pts: Sequence[Point]) -> int:
     """Dimension of the affine hull, by exact rank computation."""
     if not pts:
@@ -180,7 +177,7 @@ def caratheodory_witness(q: Point, pts: Sequence[Point]):
     uniq = sorted(set(pts))
     for size in range(1, dim + 2):
         for subset in itertools.combinations(uniq, size):
-            if not affinely_independent(subset):
+            if affine_span_dim(subset) != size - 1:
                 continue
             coords = affine_coordinates(q, subset)
             if coords is not None and all(c >= 0 for c in coords):
@@ -446,11 +443,6 @@ def segment_hull_param_intervals(seg: Segment, gens: MixedGenerators) -> tuple[I
         if clipped is not None:
             out.append(clipped)
     return tuple(out)
-
-
-def segment_hull_intersection(seg: Segment, gens: MixedGenerators) -> list[Union[Segment, Point]]:
-    """The set {x in seg : strict_hull_member(x, gens)} as segments/points."""
-    return [seg.piece(iv) for iv in segment_hull_param_intervals(seg, gens)]
 
 
 def standard_simplex(n: int) -> VPolytope:

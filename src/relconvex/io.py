@@ -32,9 +32,12 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def str_to_rat(s: str) -> Fraction:
+    """Fraction(s) for a string s; a JSON number or boolean is an InputError."""
+    if not isinstance(s, str):
+        raise InputError(f"rational must be a \"p/q\" string, got {s!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {s!r}: {exc}") from exc
 
 

@@ -94,12 +94,6 @@ class FiniteLattice:
             raise NotALatticeError("no unique bottom element")
         return int(rows[0])
 
-    def top(self) -> int:
-        cols = np.nonzero(self.leq.all(axis=0))[0]
-        if len(cols) != 1:
-            raise NotALatticeError("no unique top element")
-        return int(cols[0])
-
     def _compute_tables(self):
         # Sorting by down-set size gives a linear extension; its reverse is
         # one of the dual order, in which meets are joins.

@@ -30,6 +30,7 @@ from .geometry import (
     Point,
     Segment,
     VPolytope,
+    combination,
     hull_member,
     segment_hull_param_intervals,
 )
@@ -277,15 +278,11 @@ def face_restriction_check(y, poly: VPolytope, face) -> bool:
 
 
 def _face_samples(fverts) -> list[Point]:
-    m = len(fverts)
-    dim = len(fverts[0])
     out = set(fverts)
     for d in range(2, _SAMPLE_DENOMINATOR + 1):
-        for weights in itertools.product(range(d + 1), repeat=m):
-            if sum(weights) != d:
-                continue
-            out.add(tuple(sum(Fraction(w, d) * v[k] for w, v in zip(weights, fverts))
-                          for k in range(dim)))
+        for weights in itertools.product(range(d + 1), repeat=len(fverts)):
+            if sum(weights) == d:
+                out.add(combination([Fraction(w, d) for w in weights], fverts))
     return sorted(out)
 
 

@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from relconvex.boolsub import (
+    face_support,
     full_mask,
     iter_meet_subsemilattices,
     meet_closure,
@@ -71,7 +73,7 @@ def test_subm_lattice_n1():
     lat = subm_lattice(1)
     assert lat.n == 14
     bot = lat.labels[lat.bottom()]
-    top = lat.labels[lat.top()]
+    top = lat.labels[int(np.flatnonzero(lat.leq.all(axis=0)).item())]
     assert bot == frozenset()
     assert top == frozenset(range(4))
     # join of {{0}} and {{1}} must add the empty set
@@ -117,6 +119,11 @@ def test_psi_empty_set_is_whole_interior():
     assert out.pieces == frozenset({0b111})
     assert out.contains(qp("1/4", "1/4"))
     assert not out.contains(qp(0, 0))
+    assert face_support(qp("1/4", "1/4"), s) == 0b111
+    assert face_support(qp(0, "1/2"), s) == 0b101
+    for outside in (qp(-1, 0), qp(1, 1), qp("1/2", "-1/4")):
+        assert face_support(outside, s) is None
+        assert not out.contains(outside)
 
 
 def test_psi_injective_off_top():

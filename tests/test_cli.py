@@ -283,6 +283,18 @@ WRONG_JSON_TYPES = {
         ["segments", "closure", "--input", CEVIAN, "--set"],
         {"pieces": [{"carrier_index": 0, "t_lo": "0", "t_hi": "1", "lo_closed": 0}]},
         "lo_closed must be a JSON boolean, got 0"),
+    "coordinate-float": (
+        ["build", "--input"],
+        {"type": "finite-ground", "points": [["0"], [0.1]]},
+        'rational must be a "p/q" string, got 0.1'),
+    "coordinate-boolean": (
+        ["build", "--input"],
+        {"type": "finite-ground", "points": [["0"], [True]]},
+        'rational must be a "p/q" string, got True'),
+    "interval-end-float": (
+        ["segments", "closure", "--input", CEVIAN, "--set"],
+        {"pieces": [{"carrier_index": 0, "t_lo": 0.25, "t_hi": "1"}]},
+        'rational must be a "p/q" string, got 0.25'),
 }
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from relconvex.analysis import d_relation
 from relconvex.embedding import (
+    Construction,
+    _barycentric,
     build_construction,
     build_embedding,
     build_ground_set,
@@ -15,7 +17,13 @@ from relconvex.embedding import (
     verify_lemmas,
 )
 from relconvex.errors import InputError, ResourceLimitError
-from relconvex.geometry import VPolytope, affinely_independent, qp, standard_simplex
+from relconvex.geometry import (
+    VPolytope,
+    affine_coordinates,
+    affine_span_dim,
+    qp,
+    standard_simplex,
+)
 
 from oracles import p_point_reference
 
@@ -93,7 +101,7 @@ def _p_point_cases():
         while len(bases) < 4:
             pts = [tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
                    for _ in range(n + 1)]
-            if affinely_independent(pts):
+            if affine_span_dim(pts) == n:
                 bases.append(VPolytope(pts, assume_extreme=True))
         for base in bases:
             for size in range(2, n + 2):
@@ -174,6 +182,37 @@ def test_negative_control_equal_amounts_fails_nesting():
     rep = verify_lemmas(ctor)
     assert not rep.ok
     assert any(c.name == "level-nesting" and not c.ok for c in rep.checks)
+    # equal amounts on two levels also break the nesting of corners, nothing else
+    assert {c.name for c in rep.checks if not c.ok} == {"corner-monotone", "level-nesting"}
+
+
+def test_negative_control_moved_copy_vertex_fails_slab_only():
+    # one vertex of P_A off its shrunken hyperplane (a level set of lambda_j)
+    ctor = build_construction(2)
+    copy = ctor.copies[frozenset({0, 1, 2})]
+    copy[0] = tuple(c + F(1, 1000) for c in copy[0])
+    assert {c.name for c in verify_lemmas(ctor).checks if not c.ok} == {"slab"}
+
+
+def test_barycentric_closed_form_matches_solve():
+    rng = random.Random(13)
+    for n in range(1, 5):
+        verts = standard_simplex(n).vertices
+        for _ in range(25):
+            q = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+            assert _barycentric(q) == tuple(affine_coordinates(q, verts))
+
+
+def test_lemmas_reject_a_base_other_than_the_standard_simplex():
+    ctor = build_construction(1)
+    base = VPolytope([qp(0), qp(2)])
+    moved = Construction(n=1, base=base, amounts=ctor.amounts, center=qp(1))
+    with pytest.raises(InputError):
+        verify_lemmas(moved)
+    reordered = Construction(n=1, base=VPolytope([qp(1), qp(0)], assume_extreme=True),
+                             amounts=ctor.amounts, center=ctor.center, copies=ctor.copies)
+    with pytest.raises(InputError):
+        verify_lemmas(reordered)
 
 
 def test_ground_set_counts():

@@ -15,7 +15,6 @@ from relconvex.geometry import (
     extreme_points,
     hull_member,
     qp,
-    segment_hull_intersection,
     segment_hull_param_intervals,
     standard_simplex,
     strict_hull_member,
@@ -249,13 +248,13 @@ def test_vpolytope_minimizes_vertices():
 def test_segment_disjoint_from_hull():
     seg = Segment(qp(5, 5), qp(6, 6))
     gens = MixedGenerators(open_faces=(tuple(TRIANGLE),))
-    assert segment_hull_intersection(seg, gens) == []
+    assert [seg.piece(iv) for iv in segment_hull_param_intervals(seg, gens)] == []
 
 
 def test_segment_inside_closed_polytope():
     seg = Segment(qp("1/4", "1/4"), qp("1/2", "1/4"))
     gens = MixedGenerators(points=tuple(TRIANGLE))
-    out = segment_hull_intersection(seg, gens)
+    out = [seg.piece(iv) for iv in segment_hull_param_intervals(seg, gens)]
     assert out == [seg]
 
 
