@@ -10,7 +10,7 @@ by one matrix product and runs that scan only to name a failing triple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -181,12 +181,15 @@ class ClosureTable:
         return [m for m in range(1 << self.n) if self._table[m] == m]
 
 
-def check_anti_exchange(operator) -> tuple[bool, Optional[Witness]]:
+def check_anti_exchange(operator, closed: Optional[Sequence[int]] = None
+                        ) -> tuple[bool, Optional[Witness]]:
     """Anti-exchange axiom for a closure operator (FiniteGround or table):
     for closed A and distinct x, y outside A, x in cl(A+y) forbids
-    y in cl(A+x)."""
+    y in cl(A+x).  ``closed`` lists the operator's closed sets when the
+    caller has enumerated them (say under a ground-size bound)."""
     n = operator.n
-    closed = operator.enumerate_closed_masks()
+    if closed is None:
+        closed = operator.enumerate_closed_masks()
     for A in closed:
         added = [operator.closure_mask(A | (1 << y)) if not A >> y & 1 else 0
                  for y in range(n)]

@@ -26,7 +26,6 @@ from .geometry import (
     Point,
     VPolytope,
     affine_coordinates,
-    affine_span_dim,
     centroid,
     combination,
     strict_hull_member,
@@ -108,7 +107,7 @@ def subm_lattice(n: int, families: Optional[Iterable[frozenset[int]]] = None) ->
 
 def check_simplex(simplex: VPolytope) -> int:
     """Validate that the polytope is a simplex; returns n (ambient dim)."""
-    if affine_span_dim(simplex.vertices) != len(simplex.vertices) - 1:
+    if simplex.dim_affine != len(simplex.vertices) - 1:
         raise InputError("base polytope must have affinely independent vertices")
     n = simplex.dim_ambient
     if len(simplex.vertices) != n + 1:

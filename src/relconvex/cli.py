@@ -110,11 +110,13 @@ def cmd_check(args) -> int:
     if args.property == "antiexchange":
         if kind == "finite-ground":
             operator = rio.ground_from_json(data)
+            closed = operator.enumerate_closed_masks(args.max_ground)
         elif kind == "closure-table":
             operator = rio.closure_table_from_json(data)
+            closed = operator.enumerate_closed_masks()
         else:
             raise InputError("antiexchange expects a finite-ground or closure-table file")
-        ok, witness = check_anti_exchange(operator)
+        ok, witness = check_anti_exchange(operator, closed)
     else:
         if kind == "finite-ground":
             lat = rio.ground_from_json(data).lattice(args.max_ground)

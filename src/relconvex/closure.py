@@ -8,8 +8,9 @@ then a single pass of subset tests, which keeps full enumerations cheap.
 
 Hull membership and affine independence do not change under an affine
 bijection, so the table is built on the ground scaled once to integer
-coordinates; each candidate subset then costs one fraction-free elimination
-(:func:`relconvex.linalg.rref_int`) and no ``Fraction`` arithmetic.
+coordinates.  It then takes one elimination per candidate subset, every
+undecided point as an extra column: one fraction-free
+:func:`relconvex.linalg.rref_int` call and no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -53,27 +54,33 @@ class FiniteGround:
             return self._witnesses
         scale = lcm(*(c.denominator for p in self.points for c in p))
         pts = [[c.numerator * (scale // c.denominator) for c in p] + [1] for p in self.points]
-        table: list[list[int]] = []
-        for i, q in enumerate(pts):
-            others = [j for j in range(self.n) if j != i]
-            found: list[int] = []
-            for size in range(1, self.dim + 2):
-                for subset in combinations(others, size):
-                    mask = 0
-                    for j in subset:
-                        mask |= 1 << j
-                    if any(m & mask == m for m in found):
-                        continue
-                    # Columns (p_j, 1) then (q, 1): the subset is affinely
-                    # independent iff its `size` columns are pivots, q lies in
-                    # its affine hull iff q's column is no pivot, and then the
-                    # barycentric coordinates are red[r][size] / det.
-                    red, pivots, det = rref_int(zip(*(pts[j] for j in subset), q))
-                    if pivots[:size + 1] != list(range(size)):
-                        continue
-                    if all(red[r][size] * det >= 0 for r in range(size)):
-                        found.append(mask)
-            table.append(found)
+        table: list[list[int]] = [[] for _ in range(self.n)]
+        # One elimination per candidate subset, every undecided point as an
+        # extra column: columns (p_j, 1) for j in the subset, then (q, 1) for
+        # each q outside it that no witness found so far lies inside.  The
+        # subset is affinely independent iff its `size` columns are pivots.
+        # q is in its affine hull iff q's column is zero from row `size` on,
+        # and then its barycentric coordinates are red[r][col] / det, since
+        # the reduced rows stay rows / det after later pivots on q columns.
+        # Visiting subsets by size, then in combinations order, lists each
+        # point's witnesses in the order a per-point search would.
+        for size in range(1, self.dim + 2):
+            for subset in combinations(range(self.n), size):
+                mask = 0
+                for j in subset:
+                    mask |= 1 << j
+                undecided = [q for q in range(self.n)
+                             if not mask >> q & 1 and not any(m & mask == m for m in table[q])]
+                if not undecided:
+                    continue
+                cols = [pts[j] for j in subset] + [pts[q] for q in undecided]
+                red, pivots, det = rref_int(zip(*cols))
+                if pivots[:size] != list(range(size)):
+                    continue
+                for col, q in enumerate(undecided, size):
+                    if (all(red[r][col] == 0 for r in range(size, len(red)))
+                            and all(red[r][col] * det >= 0 for r in range(size))):
+                        table[q].append(mask)
         self._witnesses = table
         return table
 

@@ -6,6 +6,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from relconvex.analysis import (
     WEAK_ATOM_VIOLATION,
     Witness,
 )
+from relconvex.closure import FiniteGround
 from relconvex.embedding import _shrink_labeled
 from relconvex.errors import ConstructionError, InputError
 from relconvex.geometry import Point, Segment, VPolytope, interpolate, sub
@@ -186,6 +188,36 @@ def maximize_reference(A: Sequence[Sequence], b: Sequence, c: Sequence) -> lp.LP
         x[bv] = tab[i][-1]
     value = sum(ci * xi for ci, xi in zip(cost, x))
     return lp.LPResult(lp.OPTIMAL, x, value)
+
+
+def witness_table_reference(ground: FiniteGround) -> list[list[int]]:
+    """Each point's inclusion-minimal Caratheodory witnesses by one integer
+    elimination per (point, candidate subset); ``FiniteGround._witness_table``
+    must give the same lists in the same order."""
+    scale = lcm(*(c.denominator for p in ground.points for c in p))
+    pts = [[c.numerator * (scale // c.denominator) for c in p] + [1] for p in ground.points]
+    table: list[list[int]] = []
+    for i, q in enumerate(pts):
+        others = [j for j in range(ground.n) if j != i]
+        found: list[int] = []
+        for size in range(1, ground.dim + 2):
+            for subset in itertools.combinations(others, size):
+                mask = 0
+                for j in subset:
+                    mask |= 1 << j
+                if any(m & mask == m for m in found):
+                    continue
+                # Columns (p_j, 1) then (q, 1): the subset is affinely
+                # independent iff its `size` columns are pivots, q lies in
+                # its affine hull iff q's column is no pivot, and then the
+                # barycentric coordinates are red[r][size] / det.
+                red, pivots, det = linalg.rref_int(zip(*(pts[j] for j in subset), q))
+                if pivots[:size + 1] != list(range(size)):
+                    continue
+                if all(red[r][size] * det >= 0 for r in range(size)):
+                    found.append(mask)
+        table.append(found)
+    return table
 
 
 def rref_reference(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -165,6 +165,20 @@ def test_claim_join_rejects_non_simplex():
         verify_claim_join(0, 1, square)
 
 
+def test_flat_simplex_rejected_by_psi_phi_and_claim_join():
+    # four extreme points of a square in Q^3: n + 1 vertices whose affine
+    # span has dimension 2, not 3
+    flat = VPolytope([(F(0), F(0), F(1)), (F(1), F(0), F(1)),
+                      (F(1), F(1), F(1)), (F(0), F(1), F(1))])
+    assert len(flat.vertices) == 4 and flat.dim_affine == 2
+    with pytest.raises(InputError, match="affinely independent"):
+        psi(0b0001, flat)
+    with pytest.raises(InputError, match="affinely independent"):
+        phi(frozenset({full_mask(3)}), flat)
+    with pytest.raises(InputError, match="affinely independent"):
+        verify_claim_join(0, 1, flat)
+
+
 def test_phi_of_full_family_covers_simplex():
     s = standard_simplex(2)
     fam = frozenset(range(full_mask(2) + 1))

@@ -165,6 +165,15 @@ def test_resource_error_exit_2(tmp_path, capsys):
     assert "resource-limit" in capsys.readouterr().err
 
 
+def test_antiexchange_on_a_ground_honours_max_ground(capsys):
+    code = main(["--max-ground", "2", "check", "antiexchange", "--input",
+                 str(FIXTURES / "collinear4.json")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "resource-limit",
+        "reason": "ground of size 4 exceeds the enumeration bound 2"}
+
+
 def test_malformed_rational_exit_1(tmp_path, capsys):
     ground = tmp_path / "ground.json"
     ground.write_text(json.dumps({"type": "finite-ground",

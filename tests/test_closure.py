@@ -1,14 +1,20 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lattices
+from oracles import witness_table_reference
 from relconvex.closure import FiniteGround
+from relconvex.embedding import build_ground_set
 from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import caratheodory_member, qp
 from relconvex.lattice import FiniteLattice
+from relconvex.linalg import rref_int
 
 
 def random_ground(rng, size, dim=2, span=4):
@@ -156,6 +162,84 @@ def test_witness_table_invariant_under_affine_rescaling():
         assert image._witness_table() == g._witness_table()
         for mask in range(1 << g.n):
             assert image.closure_mask(mask) == g.closure_mask(mask)
+
+
+# --- the subset-first witness table against the per-point search -------------
+
+BIG = 10**9
+big_rationals = st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+weights = st.builds(F, st.integers(-1, 3), st.integers(2, 8))
+
+
+@st.composite
+def witness_grounds(draw):
+    """Up to 8 points in Q^1..Q^4 with denominators up to 1e9: a few free
+    points, plus points forced into the affine hull of 2, 3 or dim + 1 drawn
+    points (a line, a plane, a full simplex) by small affine weights, often
+    convex ones, so that hulls catch them."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[big_rationals] * dim)
+    pts = draw(st.lists(point, min_size=1, max_size=4))
+    for k in draw(st.lists(st.sampled_from([2, 3, dim + 1]), max_size=2)):
+        base = draw(st.lists(point, min_size=k, max_size=k))
+        pts.extend(base)
+        for _ in range(draw(st.integers(1, 3))):
+            ws = draw(st.lists(weights, min_size=k - 1, max_size=k - 1))
+            pts.append(tuple(base[0][c] + sum(w * (b[c] - base[0][c]) for w, b in zip(ws, base[1:]))
+                             for c in range(dim)))
+    return FiniteGround(list(dict.fromkeys(pts))[:8])
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_grounds())
+def test_witness_table_matches_per_point_reference(g):
+    assert g._witness_table() == witness_table_reference(g)
+
+
+def test_witness_table_on_the_n2_construction_ground():
+    _, g, _ = build_ground_set(2)
+    table = g._witness_table()
+    assert g.n == 10 and sum(map(len, table)) == 39
+    assert table == witness_table_reference(g)
+
+
+def caratheodory_closure(g, mask):
+    gens = [g.points[j] for j in range(g.n) if mask >> j & 1]
+    return mask | sum(1 << x for x in range(g.n)
+                      if not mask >> x & 1 and caratheodory_member(g.points[x], gens))
+
+
+def assert_matches_references(g):
+    assert g._witness_table() == witness_table_reference(g)
+    for mask in range(1 << g.n):
+        assert g.closure_mask(mask) == caratheodory_closure(g, mask)
+
+
+@pytest.mark.parametrize("point", [(), (F(1, 3),), (F(-2), F(5, 7), F(0))])
+def test_one_point_ground(point):
+    g = FiniteGround([point])
+    assert g._witness_table() == [[]]
+    assert_matches_references(g)
+
+
+def test_collinear_ground_in_q3():
+    ts = [F(-3), F(-1, 2), F(0), F(1, 3), F(2), F(7, 2)]
+    g = FiniteGround([(1 + t, 2 - 3 * t, F(1, 5) + t / 2) for t in ts])
+    cols = [[int(c * 60) for c in p] + [1] for p in g.points]     # 60: lcm of the denominators
+    for size in (3, 4):
+        for subset in itertools.combinations(range(g.n), size):
+            _, pivots, _ = rref_int(zip(*(cols[j] for j in subset)))
+            assert pivots[:size] != list(range(size))
+    table = g._witness_table()
+    assert all(bin(w).count("1") == 2 for ws in table for w in ws)
+    assert [len(ws) for ws in table] == [0, 4, 6, 6, 4, 0]
+    assert_matches_references(g)
+
+
+def test_ground_in_q1():
+    g = FiniteGround([(F(x),) for x in (F(5, 2), F(-3), F(0), F(2), F(-1))])
+    assert g.closure([1, 0]) == frozenset(range(5))
+    assert_matches_references(g)
 
 
 # --- lattice structure -------------------------------------------------------
