@@ -6,7 +6,8 @@ artifacts.  SVG coordinates are fixed-point decimal strings computed with
 integer arithmetic only.  ``dumps`` writes the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, but joins each
 list of plain ints (the rows of the join and meet tables) in one step instead
-of running json's pure-Python indent encoder value by value.
+of running json's pure-Python indent encoder value by value, reading each
+entry's decimal text from a lookup of 0..4095.
 """
 
 from __future__ import annotations
@@ -288,6 +289,8 @@ def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None) -> st
 _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode  # floats; TypeError for the unserialisable
 _INT = {int}
+# text of the table indices 0..4095; a dict, so a negative int is a miss
+_DECIMAL = {i: str(i) for i in range(1 << 12)}
 
 
 def dumps(data: dict) -> str:
@@ -295,7 +298,8 @@ def dumps(data: dict) -> str:
 
     With an indent, json writes through its pure-Python encoder, one
     generator step per value.  Here a list of plain ints (a row of a join or
-    meet table, a cover pair, the members of an element) is one join.
+    meet table, a cover pair, the members of an element) is one join of
+    looked-up decimals, or of ``int.__repr__`` if one lies outside 0..4095.
     """
     return _emit(data, "\n", set()) + "\n"
 
@@ -316,13 +320,17 @@ def _emit(o, nl: str, open_ids: set) -> str:
         if not o:
             return "[]"
         inner = nl + "  "
+        sep = "," + inner
         if set(map(type, o)) == _INT:
-            body = map(int.__repr__, o)
+            try:
+                body = sep.join(map(_DECIMAL.__getitem__, o))
+            except KeyError:    # some entry outside 0..4095: the whole row by repr
+                body = sep.join(map(int.__repr__, o))
         else:
             _enter(o, open_ids)
-            body = [_emit(v, inner, open_ids) for v in o]
+            body = sep.join([_emit(v, inner, open_ids) for v in o])
             open_ids.remove(id(o))
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
+        return "[" + inner + body + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"

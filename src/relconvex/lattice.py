@@ -2,11 +2,11 @@
 
 Elements are indexed 0..n-1 with arbitrary hashable labels.  The order is a
 boolean matrix ``leq`` with ``leq[i, j]`` meaning element i is below element
-j.  Join and meet index tables are computed on demand by one search, for
-lattices of closed sets and abstract lattices alike: in a linear extension
-the join of i and j is their first common upper bound, found as the lowest
-set bit of the AND of their bit-packed up-sets; the same search on the
-reversed dual order gives meets, and both validate lattice-ness.
+j.  Joins are computed by one search: in a linear extension the join of i
+and j is their first common upper bound, found as the lowest set bit of the
+AND of their bit-packed up-sets.  Meets of an abstract lattice come from the
+same search on the reversed dual order; a closure system looks its meets up
+as intersections among its sorted closed sets.  Both validate lattice-ness.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class FiniteLattice:
         if leq.shape != (self.n, self.n):
             raise InputError("leq matrix shape mismatch")
         self.leq = leq
+        if not self.n:
+            raise NotALatticeError("lattice without elements")
         if len(set(self.labels)) != self.n:
             raise InputError("duplicate element labels")
         self._join = self._meet = self._covers = None    # computed on demand
@@ -49,10 +51,23 @@ class FiniteLattice:
                                      "do not fit the int64 lattice tables")
         E = np.array(order, dtype=np.int64)
         lat = cls(order, (E[None, :] & E[:, None]) == E[:, None])
+        by_value = np.argsort(E)
+        values = E[by_value]
+        meet = np.empty((lat.n, lat.n), dtype=np.int32)
         step = max(1, _BLOCK_BYTES // (8 * lat.n + 1))
         for s in range(0, lat.n, step):
-            if (E[lat.meet_table[s:s + step]] != E[s:s + step, None] & E).any():
+            common = E[s:s + step, None] & E
+            at = np.minimum(np.searchsorted(values, common), lat.n - 1)
+            if (values[at] != common).any():
+                lat._compute_tables()   # an order fault keeps its own message
                 raise NotALatticeError("intersection of closed sets not closed")
+            meet[s:s + step] = by_value[at]
+        # index order is (popcount, mask), itself a linear extension
+        join, fault = _least_bounds(lat.leq, np.arange(lat.n), "pair without upper bound",
+                                    "pair without least upper bound")
+        if fault:
+            raise NotALatticeError(fault[1])
+        lat._join, lat._meet = join, meet
         return lat
 
     @classmethod

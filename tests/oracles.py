@@ -398,6 +398,18 @@ def mask_tables_reference(masks: Sequence[int]) -> tuple[list[int], np.ndarray, 
     return order, join, meet
 
 
+def closed_masks_generic_reference(masks: Sequence[int]) -> FiniteLattice:
+    """The lattice of a closure system with tables from the generic up-set
+    search, then checked meet by meet against intersection; a family that
+    is no closure system raises the first fault's NotALatticeError."""
+    order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    E = np.array(order, dtype=np.int64)
+    lat = FiniteLattice(order, (E[None, :] & E[:, None]) == E[:, None])
+    if (E[lat.meet_table] != E[:, None] & E).any():
+        raise NotALatticeError("intersection of closed sets not closed")
+    return lat
+
+
 def lub_tables_reference(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Join and meet tables of an order matrix by an unpacked search: the
     first common upper bound in a linear extension, checked to lie below

@@ -324,13 +324,15 @@ def test_document_not_an_object_exit_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
-# orders that are not lattices: Λ has no top, V no bottom, and in the bowtie
-# a and b have the two upper bounds c and d but no least one
+# orders that are not lattices: Λ has no top, V no bottom, in the bowtie
+# a and b have the two upper bounds c and d but no least one, and the empty
+# order has neither bottom nor top
 NON_LATTICES = {
     "lambda": (["0", "a", "b"], [[0, 1], [0, 2]], "pair without upper bound"),
     "vee": (["a", "b", "1"], [[0, 2], [1, 2]], "pair without lower bound"),
     "bowtie": (["a", "b", "c", "d"], [[0, 2], [0, 3], [1, 2], [1, 3]],
                "pair without least upper bound"),
+    "empty": ([], [], "lattice without elements"),
 }
 
 

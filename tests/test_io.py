@@ -123,6 +123,36 @@ def test_dumps_matches_json_on_deep_nesting():
     assert rio.dumps(doc) == dumps_reference(doc)
 
 
+# dumps reads the text of 0..N-1 from a lookup and writes any row with an
+# entry outside it by int.__repr__
+N = 1 << 12
+LOOKUP_EDGES = {
+    "around-N": [-1, 0, N - 1, N, N + 1, 10**20],
+    "in-range": list(range(N - 3, N)) + [0, 1, 10, 99, 100, 1000],
+    "negative-last": [0, 7, N - 1, -1],
+    "beyond-N-last": list(range(40)) + [N],
+    "huge-last": [N - 1] * 3 + [-10**20],
+    "bools-mixed": [0, True, N - 1, False, N],
+    "bools-only": [True, False, True],
+    "tuple": (0, N - 1, 5),
+    "tuple-beyond-N": (N - 1, N, -1),
+    "table-at-depth-3": {"lattice": {"tables": {"join": [[0, 1, N - 1], [2, N, 3],
+                                                         [-1, 0, 0], [True, 1, 2]]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_EDGES))
+def test_dumps_lookup_edges_match_json(name):
+    doc = LOOKUP_EDGES[name]
+    assert rio.dumps(doc) == dumps_reference(doc)
+    assert rio.dumps({"row": doc}) == dumps_reference({"row": doc})
+
+
+def test_dumps_lookup_covers_exactly_zero_to_n():
+    assert sorted(rio._DECIMAL) == list(range(N))
+    assert all(text == repr(i) for i, text in rio._DECIMAL.items())
+
+
 LIST_CYCLE = [1]
 LIST_CYCLE.append(LIST_CYCLE)
 DICT_CYCLE = {"a": []}

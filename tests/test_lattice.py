@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import lattices
-from oracles import lub_tables_reference, mask_tables_reference
+from oracles import closed_masks_generic_reference, lub_tables_reference, mask_tables_reference
 from relconvex import lattice as lattice_module
 from relconvex.boolsub import _family_code, iter_meet_subsemilattices
 from relconvex.errors import InputError
 from relconvex.lattice import FiniteLattice, NotALatticeError
 from test_closure import random_ground
+from test_jsd import intersection_closed_family
 
 
 @pytest.fixture(params=["one-block", "row-blocks"])
@@ -121,6 +122,61 @@ def test_lattice_under_inclusion_that_is_no_closure_system():
     # of {0,1} and {0,2} is ∅, not their intersection {0}
     with pytest.raises(NotALatticeError, match="intersection of closed sets not closed"):
         FiniteLattice.from_closed_masks([0, 3, 5, 7])
+
+
+def test_intersection_closed_families_match_both_references(blocks):
+    rng = random.Random(15)
+    families = [[0]] + [intersection_closed_family(rng, rng.randint(1, 7)) for _ in range(120)]
+    for masks in families:
+        lat = FiniteLattice.from_closed_masks(masks)
+        order, join, meet = mask_tables_reference(masks)
+        assert lat.labels == order
+        generic = FiniteLattice(lat.labels, lat.leq)
+        for tables in (lat, generic):
+            assert (tables.join_table == join).all()
+            assert (tables.meet_table == meet).all()
+
+
+# [0, 3, 5, 7] is pinned by the test above
+@pytest.mark.parametrize("masks,reason", [
+    ([1, 2], "pair without upper bound"),
+    ([0, 1, 2], "pair without upper bound"),
+    ([3, 1, 2], "pair without lower bound"),
+], ids=str)
+def test_invalid_families_keep_their_reason(masks, reason, blocks):
+    with pytest.raises(NotALatticeError) as got:
+        FiniteLattice.from_closed_masks(masks)
+    assert str(got.value) == reason
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_families_fail_with_the_generic_reason(seed, blocks):
+    """Random families of subsets, mostly no closure system: the error, or
+    the tables, of the generic search checked against intersection."""
+    rng = random.Random(seed)
+    reasons = set()
+    for _ in range(150):
+        k = rng.randint(1, 5)
+        masks = rng.sample(range(1 << k), rng.randint(1, min(9, 1 << k)))
+        try:
+            expected = closed_masks_generic_reference(masks)
+        except NotALatticeError as exc:
+            with pytest.raises(NotALatticeError) as got:
+                FiniteLattice.from_closed_masks(masks)
+            assert str(got.value) == str(exc)
+            reasons.add(str(exc))
+            continue
+        lat = FiniteLattice.from_closed_masks(masks)
+        assert (lat.join_table == expected.join_table).all()
+        assert (lat.meet_table == expected.meet_table).all()
+    assert "intersection of closed sets not closed" in reasons and len(reasons) >= 4
+
+
+def test_empty_order_is_no_lattice():
+    with pytest.raises(NotALatticeError, match="lattice without elements"):
+        FiniteLattice.from_closed_masks([])
+    with pytest.raises(NotALatticeError, match="lattice without elements"):
+        FiniteLattice([], np.zeros((0, 0), dtype=bool))
 
 
 def test_duplicate_labels_rejected():
