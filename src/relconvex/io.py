@@ -7,7 +7,7 @@ integer arithmetic only.  ``dumps`` writes the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, but joins each
 list of plain ints (the rows of the join and meet tables) in one step instead
 of running json's pure-Python indent encoder value by value, reading each
-entry's decimal text from a lookup of 0..4095.
+entry's decimal text from a lookup of 0..n-1, n the longest list met.
 """
 
 from __future__ import annotations
@@ -289,8 +289,6 @@ def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None) -> st
 _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode  # floats; TypeError for the unserialisable
 _INT = {int}
-# text of the table indices 0..4095; a dict, so a negative int is a miss
-_DECIMAL = {i: str(i) for i in range(1 << 12)}
 
 
 def dumps(data: dict) -> str:
@@ -299,13 +297,16 @@ def dumps(data: dict) -> str:
     With an indent, json writes through its pure-Python encoder, one
     generator step per value.  Here a list of plain ints (a row of a join or
     meet table, a cover pair, the members of an element) is one join of
-    looked-up decimals, or of ``int.__repr__`` if one lies outside 0..4095.
+    decimals from a lookup of 0..n-1, n the longest list met so far in data,
+    since the ints of a document are mostly indices into its lists; or of
+    ``int.__repr__`` if one lies outside the lookup.
     """
-    return _emit(data, "\n", set()) + "\n"
+    return _emit(data, "\n", set(), {}) + "\n"
 
 
-def _emit(o, nl: str, open_ids: set) -> str:
-    """o as indented JSON; nl is a newline plus the indent of o's own line."""
+def _emit(o, nl: str, open_ids: set, decimal: dict) -> str:
+    """o as indented JSON; nl is a newline plus the indent of o's own line;
+    decimal maps 0..n-1 to their text (a dict, so a negative int misses)."""
     if isinstance(o, str):
         return _encode_str(o)
     if o is None:
@@ -319,16 +320,18 @@ def _emit(o, nl: str, open_ids: set) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        if len(o) > len(decimal):
+            decimal.update({i: str(i) for i in range(len(decimal), len(o))})
         inner = nl + "  "
         sep = "," + inner
         if set(map(type, o)) == _INT:
             try:
-                body = sep.join(map(_DECIMAL.__getitem__, o))
-            except KeyError:    # some entry outside 0..4095: the whole row by repr
+                body = sep.join(map(decimal.__getitem__, o))
+            except KeyError:    # an entry outside the lookup: the whole row by repr
                 body = sep.join(map(int.__repr__, o))
         else:
             _enter(o, open_ids)
-            body = sep.join([_emit(v, inner, open_ids) for v in o])
+            body = sep.join([_emit(v, inner, open_ids, decimal) for v in o])
             open_ids.remove(id(o))
         return "[" + inner + body + nl + "]"
     if isinstance(o, dict):
@@ -336,7 +339,7 @@ def _emit(o, nl: str, open_ids: set) -> str:
             return "{}"
         inner = nl + "  "
         _enter(o, open_ids)
-        body = [_key(k) + ": " + _emit(v, inner, open_ids) for k, v in sorted(o.items())]
+        body = [_key(k) + ": " + _emit(v, inner, open_ids, decimal) for k, v in sorted(o.items())]
         open_ids.remove(id(o))
         return "{" + inner + ("," + inner).join(body) + nl + "}"
     return _encode_scalar(o)
@@ -353,5 +356,5 @@ def _key(k) -> str:
     if isinstance(k, str):
         return _encode_str(k)
     if k is None or isinstance(k, (int, float)):
-        return '"' + _emit(k, "", set()) + '"'
+        return '"' + _emit(k, "", set(), {}) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")

@@ -51,23 +51,19 @@ class FiniteLattice:
                                      "do not fit the int64 lattice tables")
         E = np.array(order, dtype=np.int64)
         lat = cls(order, (E[None, :] & E[:, None]) == E[:, None])
-        by_value = np.argsort(E)
+        by_value = np.argsort(E, kind="stable")    # the sort kind of _compute_tables
         values = E[by_value]
         meet = np.empty((lat.n, lat.n), dtype=np.int32)
         step = max(1, _BLOCK_BYTES // (8 * lat.n + 1))
         for s in range(0, lat.n, step):
             common = E[s:s + step, None] & E
-            at = np.minimum(np.searchsorted(values, common), lat.n - 1)
+            at = np.searchsorted(values, common)    # < n, as a & b <= max(a, b)
             if (values[at] != common).any():
                 lat._compute_tables()   # an order fault keeps its own message
                 raise NotALatticeError("intersection of closed sets not closed")
             meet[s:s + step] = by_value[at]
-        # index order is (popcount, mask), itself a linear extension
-        join, fault = _least_bounds(lat.leq, np.arange(lat.n), "pair without upper bound",
-                                    "pair without least upper bound")
-        if fault:
-            raise NotALatticeError(fault[1])
-        lat._join, lat._meet = join, meet
+        del common, at      # the last block's, not to be held through the join search
+        lat._compute_tables(meet)
         return lat
 
     @classmethod
@@ -109,14 +105,15 @@ class FiniteLattice:
             raise NotALatticeError("no unique bottom element")
         return int(rows[0])
 
-    def _compute_tables(self):
+    def _compute_tables(self, meet=None):
         # Sorting by down-set size gives a linear extension; its reverse is
-        # one of the dual order, in which meets are joins.
+        # one of the dual order, in which meets are joins.  A closure system
+        # passes its meet table, read off the intersections.
         order = np.argsort(self.leq.sum(axis=0), kind="stable")
         join, join_fault = _least_bounds(self.leq, order, "pair without upper bound",
                                          "pair without least upper bound")
-        meet, meet_fault = _least_bounds(self.leq.T, order[::-1], "pair without lower bound",
-                                         "pair without greatest lower bound")
+        meet, meet_fault = (meet, None) if meet is not None else _least_bounds(
+            self.leq.T, order[::-1], "pair without lower bound", "pair without greatest lower bound")
         fault = min(filter(None, (join_fault, meet_fault)), key=lambda f: f[0], default=None)
         if fault:       # the lowest faulty row, its joins before its meets
             raise NotALatticeError(fault[1])

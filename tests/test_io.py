@@ -123,19 +123,21 @@ def test_dumps_matches_json_on_deep_nesting():
     assert rio.dumps(doc) == dumps_reference(doc)
 
 
-# dumps reads the text of 0..N-1 from a lookup and writes any row with an
-# entry outside it by int.__repr__
-N = 1 << 12
+# dumps reads the text of 0..n-1 from a lookup as long as the longest list
+# met so far in the document, and writes any row with an entry outside it by
+# int.__repr__.  Each case comes after a row of N indices in its document, so
+# the lookup holds 0..N-1; N lies above the largest table of the benchmark.
+N = 5000
 LOOKUP_EDGES = {
     "around-N": [-1, 0, N - 1, N, N + 1, 10**20],
     "in-range": list(range(N - 3, N)) + [0, 1, 10, 99, 100, 1000],
     "negative-last": [0, 7, N - 1, -1],
-    "beyond-N-last": list(range(40)) + [N],
+    "beyond-lookup-last": list(range(40)) + [N],
     "huge-last": [N - 1] * 3 + [-10**20],
     "bools-mixed": [0, True, N - 1, False, N],
     "bools-only": [True, False, True],
     "tuple": (0, N - 1, 5),
-    "tuple-beyond-N": (N - 1, N, -1),
+    "tuple-beyond-lookup": (N - 1, N, -1),
     "table-at-depth-3": {"lattice": {"tables": {"join": [[0, 1, N - 1], [2, N, 3],
                                                          [-1, 0, 0], [True, 1, 2]]}}},
 }
@@ -143,14 +145,18 @@ LOOKUP_EDGES = {
 
 @pytest.mark.parametrize("name", sorted(LOOKUP_EDGES))
 def test_dumps_lookup_edges_match_json(name):
-    doc = LOOKUP_EDGES[name]
-    assert rio.dumps(doc) == dumps_reference(doc)
-    assert rio.dumps({"row": doc}) == dumps_reference({"row": doc})
+    case = LOOKUP_EDGES[name]
+    for doc in (case, {"row": case}, {"a_table": [list(range(N))], "row": case}):
+        assert rio.dumps(doc) == dumps_reference(doc)
 
 
-def test_dumps_lookup_covers_exactly_zero_to_n():
-    assert sorted(rio._DECIMAL) == list(range(N))
-    assert all(text == repr(i) for i, text in rio._DECIMAL.items())
+def test_dumps_lookup_grows_to_the_longest_list():
+    decimal = {}
+    covers = [[0, 1]] * 7       # a list of pairs grows it, before its pairs
+    doc = {"a": [6, 2], "b": covers, "c": [7, 6], "d": list(range(9))[::-1]}
+    text = rio._emit(doc, "\n", set(), decimal)
+    assert text + "\n" == dumps_reference(doc)
+    assert decimal == {i: repr(i) for i in range(9)}
 
 
 LIST_CYCLE = [1]

@@ -89,11 +89,12 @@ def test_find_m3_matches_pair_loop_on_large_templates(template_lattice):
     assert find_m3(template_lattice) is find_m3_reference(template_lattice) is None
 
 
-@pytest.mark.parametrize("name", sorted(NON_LATTICES))
+# the empty order fails when built, before any check (test_lattice.py)
+@pytest.mark.parametrize("name", sorted(n for n in NON_LATTICES if NON_LATTICES[n][0]))
 def test_non_lattice_raises_at_the_api(name):
     elements, covers, reason = NON_LATTICES[name]
+    lat = FiniteLattice.from_cover_pairs(elements, [(elements[a], elements[b]) for a, b in covers])
     for check in (check_jsd, find_m3):
-        with pytest.raises(NotALatticeError) as err:     # the empty order fails when built
-            check(FiniteLattice.from_cover_pairs(
-                elements, [(elements[a], elements[b]) for a, b in covers]))
+        with pytest.raises(NotALatticeError) as err:
+            check(lat)
         assert str(err.value) == reason

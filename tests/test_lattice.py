@@ -172,6 +172,25 @@ def test_random_families_fail_with_the_generic_reason(seed, blocks):
     assert "intersection of closed sets not closed" in reasons and len(reasons) >= 4
 
 
+def test_signed_masks_match_the_generic_search():
+    """Negative masks are infinite sets in two's complement; their order by
+    (popcount, mask) is no linear extension, so the join search must not
+    take it for one."""
+    rng = random.Random(15)
+    for _ in range(400):
+        masks = rng.sample(range(-9, 16), rng.randint(1, 7))
+        try:
+            expected = closed_masks_generic_reference(masks)
+        except NotALatticeError as exc:
+            with pytest.raises(NotALatticeError) as got:
+                FiniteLattice.from_closed_masks(masks)
+            assert str(got.value) == str(exc)
+            continue
+        lat = FiniteLattice.from_closed_masks(masks)
+        assert (lat.join_table == expected.join_table).all()
+        assert (lat.meet_table == expected.meet_table).all()
+
+
 def test_empty_order_is_no_lattice():
     with pytest.raises(NotALatticeError, match="lattice without elements"):
         FiniteLattice.from_closed_masks([])
