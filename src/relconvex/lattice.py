@@ -51,7 +51,7 @@ class FiniteLattice:
                                      "do not fit the int64 lattice tables")
         E = np.array(order, dtype=np.int64)
         lat = cls(order, (E[None, :] & E[:, None]) == E[:, None])
-        by_value = np.argsort(E, kind="stable")    # the sort kind of _compute_tables
+        by_value = np.argsort(E, kind="stable")    # as in _compute_tables: one sort in memory
         values = E[by_value]
         meet = np.empty((lat.n, lat.n), dtype=np.int32)
         step = max(1, _BLOCK_BYTES // (8 * lat.n + 1))
