@@ -10,7 +10,6 @@ relatively convex sets.  All geometry runs in exact rational arithmetic.
 
 from .analysis import (
     ClosureTable,
-    LatticeMap,
     Witness,
     check_anti_exchange,
     check_biatomic,
@@ -20,7 +19,6 @@ from .analysis import (
     check_weak_atom_property,
     d_relation,
     find_m3,
-    verify_embedding,
 )
 from .boolsub import (
     OpenFaceSet,

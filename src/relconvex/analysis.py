@@ -9,6 +9,7 @@ by one matrix product and runs that scan only to name a failing triple.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -263,50 +264,43 @@ def check_lower_bounded(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
 # lattice maps
 
 
-@dataclass
-class LatticeMap:
-    source: FiniteLattice
-    target: FiniteLattice
-    image: list[int]
+def map_defects(source: FiniteLattice, closure, image: Sequence[int]
+                ) -> dict[str, Optional[Witness]]:
+    """First witness against each embedding property of the map sending
+    source element i to the closed-set mask ``image[i]`` of ``closure`` (a
+    FiniteGround or ClosureTable).  Keys, in report order: "image-not-closed",
+    "not-injective", "join-not-preserved", "meet-not-preserved"; a value is
+    None when the property holds.
 
-    def __post_init__(self):
-        if len(self.image) != self.source.n:
-            raise InputError("image must assign every source element")
-        for t in self.image:
-            if not 0 <= t < self.target.n:
-                raise InputError("image index outside target lattice")
-
-
-def map_defects(f: LatticeMap) -> dict[str, Optional[Witness]]:
-    """First witness against each embedding property, checked on all pairs.
-
-    Keys, in the order ``verify_embedding`` reports them: "not-injective",
-    "join-not-preserved", "meet-not-preserved"; a value is None when the
-    property holds.
+    The target's meet is AND and its join the closure of the union.  Joins
+    are checked against the source's join-irreducibles j only: a = 0 gives
+    f(0) ≤ f(j), and every element is a join of join-irreducibles, so
+    f(a ∨ j) = f(a) ∨ f(j) for all a and j gives every join.  A union equal
+    to the closed f(a ∨ j) is its own closure, so it takes no closure call.
     """
-    defects: dict[str, Optional[Witness]] = {}
-    seen: dict[int, int] = {}
-    for i, t in enumerate(f.image):
-        if t in seen:
-            defects["not-injective"] = Witness(EMBEDDING_DEFECT, [seen[t], i],
-                                               {"reason": "not-injective"})
+    defects: dict[str, Optional[Witness]] = dict.fromkeys(
+        ["image-not-closed", "not-injective", "join-not-preserved", "meet-not-preserved"])
+
+    def found(reason, elements, **info):
+        defects[reason] = Witness(EMBEDDING_DEFECT, elements, {"reason": reason, **info})
+
+    for i, m in enumerate(image):
+        if closure.closure_mask(m) != m:
+            found("image-not-closed", [i], mask=m)
             break
-        seen[t] = i
-    else:
-        defects["not-injective"] = None
-    img = np.array(f.image, dtype=np.int32)
-    for reason, src, tgt in (
-            ("join-not-preserved", f.source.join_table, f.target.join_table),
-            ("meet-not-preserved", f.source.meet_table, f.target.meet_table)):
-        ok = img[src] == tgt[img[:, None], img[None, :]]
-        defects[reason] = None
-        if not ok.all():
-            a, b = map(int, np.argwhere(~ok)[0])
-            defects[reason] = Witness(EMBEDDING_DEFECT, [a, b], {"reason": reason})
+    first: dict[int, int] = {}
+    for i, m in enumerate(image):
+        if first.setdefault(m, i) != i:
+            found("not-injective", [first[m], i])
+            break
+    J = source.join_table
+    for a, j in itertools.product(range(source.n), source.join_irreducibles()):
+        f_join, union = image[J[a, j]], image[a] | image[j]
+        if f_join != union and f_join != closure.closure_mask(union):
+            found("join-not-preserved", [a, j])
+            break
+    img = np.array(image, dtype=np.int64)
+    ok = img[source.meet_table] == img[:, None] & img[None, :]
+    if not ok.all():
+        found("meet-not-preserved", list(map(int, np.argwhere(~ok)[0])))
     return defects
-
-
-def verify_embedding(f: LatticeMap) -> tuple[bool, Optional[Witness]]:
-    """Injective + join-preserving + meet-preserving, checked on all pairs."""
-    witness = next(filter(None, map_defects(f).values()), None)
-    return witness is None, witness

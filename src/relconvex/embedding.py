@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import LatticeMap, Witness, check_lower_bounded, map_defects
+from .analysis import Witness, check_lower_bounded, map_defects
 from .boolsub import OpenFaceSet, face_support, full_mask, iter_meet_subsemilattices, subm_lattice
 from .closure import FiniteGround
 from .errors import ConstructionError, InputError, ResourceLimitError
@@ -329,7 +329,7 @@ def build_ground_set(n: int):
     Returns (construction, ground, labels); labels[i] is "v" for the center
     or (vertex_index, sorted_tuple_of_A).
     """
-    if n not in (1, 2, 3):
+    if n > 3:       # n < 1 is an InputError of build_construction
         raise ResourceLimitError("ground-set construction supported for n in {1, 2, 3}")
     ctor = build_construction(n)
     pts: list[Point] = [ctor.center]
@@ -352,7 +352,7 @@ class EmbeddingWitness:
     labels: list
     source: FiniteLattice
     target: FiniteLattice
-    lattice_map: LatticeMap
+    image: list[int]                  # closed-set mask of each source element
     lemma_report: LemmaReport
     report: dict
     defect: Optional[Witness] = None
@@ -383,7 +383,7 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
     n = 3 sits behind allow_large: its ground has 29 points, whose closed-set
     enumeration runs for minutes; the 2480-element family lattice takes seconds.
     """
-    if n not in (1, 2) and not (n == 3 and allow_large):
+    if n > 2 and not (n == 3 and allow_large):     # n < 1: as in build_ground_set
         raise ResourceLimitError("embedding verification supported for n in {1, 2} "
                                  "(n = 3 behind allow_large)")
     ctor, ground, labels = build_ground_set(n)
@@ -408,28 +408,13 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
             if strict_hull_member(x, gens) != (piece == s):
                 audit_ok = False
 
-    target_index = {m: i for i, m in enumerate(target.labels)}
-    image = []
-    image_defect = None
-    for fam in source.labels:
-        mask = 0
-        for bit, s in enumerate(supports):
-            if (full ^ s) in fam:
-                mask |= 1 << bit
-        idx = target_index.get(mask)
-        if idx is None:
-            image_defect = Witness("embedding-defect", [sorted(fam)],
-                                   {"reason": "image-not-closed", "mask": mask})
-            image.append(target.bottom())
-        else:
-            image.append(idx)
-
-    lmap = LatticeMap(source, target, image)
-    defects = map_defects(lmap)
+    image = [sum(1 << bit for bit, s in enumerate(supports) if (full ^ s) in fam)
+             for fam in source.labels]
+    defects = map_defects(source, ground, image)
     emb_witness = next(filter(None, defects.values()), None)
     lb_ok, lb_witness = check_lower_bounded(target)
     source_lb_ok, _ = check_lower_bounded(source)
-    defect = image_defect or emb_witness or lb_witness
+    defect = emb_witness or lb_witness
 
     report = {
         "n": n,
@@ -448,11 +433,11 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
         "embedding_verified": emb_witness is None,
         "lower_bounded": lb_ok,
         "source_lower_bounded": source_lb_ok,
-        "image_closed": image_defect is None,
+        "image_closed": defects["image-not-closed"] is None,
         "notes": ("embedding domain restricted to families containing the full "
                   "set; the face-interior image of the full set is empty, so "
                   "the unrestricted family lattice maps two-to-one onto the "
                   "same traces"),
     }
-    return EmbeddingWitness(n, ctor, ground, labels, source, target, lmap,
+    return EmbeddingWitness(n, ctor, ground, labels, source, target, image,
                             lemma_report, report, defect)

@@ -80,7 +80,9 @@ def point_to_json(p: Point) -> list[str]:
     return [rat_to_str(c) for c in p]
 
 
-def point_from_json(arr: Sequence[str]) -> Point:
+def point_from_json(arr: list[str]) -> Point:
+    if not isinstance(arr, list):
+        raise InputError(f"point must be a JSON array, got {arr!r}")
     return tuple(str_to_rat(c) for c in arr)
 
 
@@ -172,6 +174,9 @@ def subsegment_triples_from_json(ground: SegmentUnionGround, doc: dict) -> list[
     """The triples of a ``{"sets": {name: pieces}, "triples": [[name, ...]]}``
     document (``segments sdv --set``)."""
     named = {k: subsegment_set_from_json(ground, v) for k, v in doc["sets"].items()}
+    for t in doc["triples"]:
+        if not isinstance(t, list) or len(t) != 3:
+            raise InputError(f"a triple must be a JSON array of three set names, got {t!r}")
     return [tuple(named[n] for n in t) for t in doc["triples"]]
 
 

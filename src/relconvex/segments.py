@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .analysis import LatticeMap, map_defects
+from .analysis import map_defects
 from .closure import FiniteGround
 from .errors import DimensionMismatch, InputError
 from .geometry import (
@@ -287,41 +287,28 @@ def _face_samples(fverts) -> list[Point]:
 
 
 def face_hom_check(ground_points: Sequence[Point], poly: VPolytope, face) -> dict:
-    """The trace map A -> A ∩ F between the closed-set lattices of X and
-    X ∩ F: surjective, join- and meet-preserving, checked on all pairs."""
+    """The trace map A -> A ∩ F from the closed-set lattice of X into the
+    closed sets of X ∩ F: closed traces, surjective, join- and
+    meet-preserving, checked by ``map_defects`` on the closure of X ∩ F."""
     fverts = face.vertices if hasattr(face, "vertices") else tuple(face)
     pts = [tuple(Fraction(c) for c in p) for p in ground_points]
     for p in pts:
         if not hull_member(p, poly.vertices):
             raise InputError("ground must be contained in the polytope")
-    g = FiniteGround(pts)
-    lat = g.lattice()
+    lat = FiniteGround(pts).lattice()
     on_face = [i for i, p in enumerate(pts) if hull_member(p, fverts)]
     report = {"trace_closed": True, "joins": True, "meets": True, "surjective": True}
     if not on_face:
         report["face_ground_empty"] = True
         return report
     gf = FiniteGround([pts[i] for i in on_face])
-    latf = gf.lattice()
-    reindex = {orig: new for new, orig in enumerate(on_face)}
-
-    def trace(mask: int) -> int:
-        out = 0
-        for orig, new in reindex.items():
-            if mask >> orig & 1:
-                out |= 1 << new
-        return out
-
-    f_index = {m: i for i, m in enumerate(latf.labels)}
-    images = []
-    for mask in lat.labels:
-        t = trace(mask)
-        if t not in f_index:
-            report["trace_closed"] = False
-            return report
-        images.append(f_index[t])
-    defects = map_defects(LatticeMap(lat, latf, images))
+    images = [sum(1 << new for new, orig in enumerate(on_face) if mask >> orig & 1)
+              for mask in lat.labels]
+    defects = map_defects(lat, gf, images)
+    if defects["image-not-closed"] is not None:
+        report["trace_closed"] = False
+        return report
     report["joins"] = defects["join-not-preserved"] is None
     report["meets"] = defects["meet-not-preserved"] is None
-    report["surjective"] = len(set(images)) == latf.n
+    report["surjective"] = len(set(images)) == len(gf.enumerate_closed_masks())
     return report

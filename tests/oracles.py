@@ -15,6 +15,7 @@ from relconvex import linalg, lp
 from relconvex.analysis import (
     BIATOMICITY_VIOLATION,
     DISTRIBUTIVITY_VIOLATION,
+    EMBEDDING_DEFECT,
     M3_SUBLATTICE,
     SDV_VIOLATION,
     WEAK_ATOM_VIOLATION,
@@ -627,6 +628,33 @@ def find_m3_reference(lat: FiniteLattice) -> Optional[Witness]:
                 return Witness(M3_SUBLATTICE, [int(m), a, b, c, int(j)],
                                {"roles": ["bottom", "a", "b", "c", "top"]})
     return None
+
+
+def map_defects_reference(source: FiniteLattice, target: FiniteLattice,
+                          image: Sequence[int]) -> dict[str, Optional[Witness]]:
+    """The embedding checks against an enumerated target: ``image[i]`` is the
+    target index of source element i, and the first injectivity, join and
+    meet defect comes from comparing the two lattices' tables on all pairs."""
+    defects: dict[str, Optional[Witness]] = {}
+    seen: dict[int, int] = {}
+    for i, t in enumerate(image):
+        if t in seen:
+            defects["not-injective"] = Witness(EMBEDDING_DEFECT, [seen[t], i],
+                                               {"reason": "not-injective"})
+            break
+        seen[t] = i
+    else:
+        defects["not-injective"] = None
+    img = np.array(image, dtype=np.int32)
+    for reason, src, tgt in (
+            ("join-not-preserved", source.join_table, target.join_table),
+            ("meet-not-preserved", source.meet_table, target.meet_table)):
+        ok = img[src] == tgt[img[:, None], img[None, :]]
+        defects[reason] = None
+        if not ok.all():
+            a, b = map(int, np.argwhere(~ok)[0])
+            defects[reason] = Witness(EMBEDDING_DEFECT, [a, b], {"reason": reason})
+    return defects
 
 
 def dumps_reference(data: dict) -> str:

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 import lattices
+from oracles import map_defects_reference
 from relconvex.analysis import (
     ClosureTable,
-    LatticeMap,
+    Witness,
     check_anti_exchange,
     check_biatomic,
     check_distributive,
@@ -18,9 +19,9 @@ from relconvex.analysis import (
     find_d_cycle,
     map_defects,
     find_m3,
-    verify_embedding,
 )
 from relconvex.closure import FiniteGround
+from relconvex.geometry import hull_member
 from relconvex.lattice import FiniteLattice
 
 
@@ -257,41 +258,130 @@ def test_find_m3_iff_not_jsd_on_corpus():
 
 # --- embeddings -----------------------------------------------------------------
 
+MAP_KEYS = ["image-not-closed", "not-injective", "join-not-preserved", "meet-not-preserved"]
+
+
+def chain_closure(k: int) -> ClosureTable:
+    """k + 1 closed sets 0, 1, 3, ..., 2**k - 1 on k points: a chain."""
+    return ClosureTable(k, {m: (1 << m.bit_length()) - 1 for m in range(1 << k)})
+
+
+def agrees_with_oracle(source, closure, image):
+    """map_defects on masks, checked against the table oracle on the
+    enumerated target; returns its defects."""
+    got = map_defects(source, closure, image)
+    assert list(got) == MAP_KEYS
+    open_at = [i for i, m in enumerate(image) if closure.closure_mask(m) != m]
+    if open_at:
+        i = open_at[0]
+        assert got["image-not-closed"] == Witness(
+            "embedding-defect", [i], {"reason": "image-not-closed", "mask": image[i]})
+    else:
+        assert got["image-not-closed"] is None
+    if got["join-not-preserved"] is not None:
+        a, j = got["join-not-preserved"].elements
+        assert j in source.join_irreducibles()
+        assert image[source.join_table[a, j]] != closure.closure_mask(image[a] | image[j])
+    if not open_at:
+        target = FiniteLattice.from_closed_masks(closure.enumerate_closed_masks())
+        index = {m: i for i, m in enumerate(target.labels)}
+        want = map_defects_reference(source, target, [index[m] for m in image])
+        for key in want:
+            assert (got[key] is None) == (want[key] is None), key
+        assert got["not-injective"] == want["not-injective"]
+        assert got["meet-not-preserved"] == want["meet-not-preserved"]
+    return got
+
+
+def mutations(rng, closure, image):
+    """The image with two entries swapped, with two elements collapsed, and
+    with one entry replaced by a mask that is not closed, if there is one."""
+    a, b = rng.sample(range(len(image)), 2)
+    swapped, collapsed, opened = list(image), list(image), list(image)
+    swapped[a], swapped[b] = image[b], image[a]
+    collapsed[b] = image[a]
+    out = [swapped, collapsed]
+    not_closed = [m for m in range(1 << closure.n) if closure.closure_mask(m) != m]
+    if not_closed:
+        opened[a] = rng.choice(not_closed)
+        out.append(opened)
+    return out
+
+
 def test_verify_embedding_identity():
     lat = lattices.boolean(2)
-    f = LatticeMap(lat, lat, list(range(lat.n)))
-    assert verify_embedding(f)[0]
+    assert not any(agrees_with_oracle(lat, ClosureTable(2, {m: m for m in range(4)}),
+                                      lat.labels).values())
 
 
 def test_verify_embedding_constant_fails():
-    chain = lattices.chain(2)
-    f = LatticeMap(chain, chain, [0, 0])
-    ok, w = verify_embedding(f)
-    assert not ok
-    assert w.info["reason"] == "not-injective"
+    defects = agrees_with_oracle(lattices.chain(2), chain_closure(1), [0, 0])
+    assert defects["not-injective"].elements == [0, 1]
+    assert next(filter(None, defects.values())).info["reason"] == "not-injective"
 
 
 def test_map_defects_reports_each_property():
-    b2 = lattices.boolean(2)
-    chain = lattices.chain(4)
     # atoms 1 and 2 collide, and their join 3 lands above their common image
-    f = LatticeMap(b2, chain, [0, 1, 1, 2])
-    defects = map_defects(f)
+    defects = agrees_with_oracle(lattices.boolean(2), chain_closure(3), [0, 1, 1, 3])
+    assert defects["image-not-closed"] is None
     assert defects["not-injective"].elements == [1, 2]
     assert defects["join-not-preserved"].info["reason"] == "join-not-preserved"
     assert defects["meet-not-preserved"].info["reason"] == "meet-not-preserved"
-    ok, w = verify_embedding(f)
-    assert not ok
-    assert w.info["reason"] == "not-injective"
+    defects = agrees_with_oracle(lattices.boolean(2), chain_closure(3), [0, 1, 2, 3])
+    assert defects["image-not-closed"].elements == [2]
+    assert defects["image-not-closed"].info == {"reason": "image-not-closed", "mask": 2}
 
 
 def test_verify_embedding_non_hom_fails():
-    b2 = lattices.boolean(2)
-    chain = lattices.chain(4)
     # order-embedding of B_2 into a chain cannot preserve joins
-    f = LatticeMap(b2, chain, [0, 1, 2, 3])
-    ok, w = verify_embedding(f)
-    assert not ok
+    defects = agrees_with_oracle(lattices.boolean(2), chain_closure(3), [0, 1, 3, 7])
+    assert defects["join-not-preserved"].elements == [1, 2]
+    assert defects["not-injective"] is None
+    assert defects["meet-not-preserved"].elements == [1, 2]
+
+
+def test_map_defects_match_the_oracle_on_abstract_maps():
+    rng = random.Random(16)
+    closures = [chain_closure(3), ClosureTable(4, {m: m for m in range(16)})]
+    for source in (lattices.boolean(2), lattices.boolean(3), lattices.m3(), lattices.n5(),
+                   lattices.chain(4)):
+        for closure in closures:
+            closed = closure.enumerate_closed_masks()
+            for _ in range(20):
+                image = [rng.choice(closed) for _ in range(source.n)]
+                agrees_with_oracle(source, closure, image)
+                for mutated in mutations(rng, closure, image):
+                    agrees_with_oracle(source, closure, mutated)
+
+
+def test_map_defects_match_the_oracle_on_face_traces():
+    """Trace maps A -> A ∩ F from point grounds in a triangle onto the
+    points of an edge or of a chord, as face_hom_check builds them."""
+    tri = [(F(0), F(0)), (F(4), F(0)), (F(0), F(4))]
+    rng = random.Random(8)
+    outcomes = []
+    for trial in range(120):
+        pts, size = set(rng.sample(tri, 2)), rng.randint(4, 6)
+        while len(pts) < size:
+            w = [F(rng.randint(0, 3)) for _ in range(3)]
+            tot = sum(w) or F(1)
+            pts.add(tuple(sum(wi * v[k] for wi, v in zip(w, tri)) / tot for k in range(2)))
+        pts = sorted(pts)
+        face = rng.sample(tri, 2) if trial % 2 else rng.sample(pts, 2)
+        on_face = [i for i, p in enumerate(pts) if hull_member(p, face)]
+        lat = FiniteGround(pts).lattice()
+        gf = FiniteGround([pts[i] for i in on_face])
+        image = [sum(1 << new for new, old in enumerate(on_face) if mask >> old & 1)
+                 for mask in lat.labels]
+        defects = agrees_with_oracle(lat, gf, image)
+        outcomes.append([w is None for w in defects.values()])
+        for mutated in mutations(rng, gf, image):
+            agrees_with_oracle(lat, gf, mutated)
+    # a trace of a closed set is closed; on an edge the trace map is a
+    # homomorphism, and on some chords it breaks joins
+    closed, _, joins, meets = map(list, zip(*outcomes))
+    assert all(closed) and all(joins[1::2]) and all(meets[1::2])
+    assert not all(joins[::2])
 
 
 # --- distributivity --------------------------------------------------------------

@@ -125,6 +125,16 @@ def test_embed_n1_exit_0(tmp_path, capsys):
     assert report["report"]["injective"] and report["report"]["lower_bounded"]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_embed_n_below_1_exit_1(tmp_path, capsys, n):
+    code = main(["--out-dir", str(tmp_path), "embed", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err) == {"error": "input",
+                                        "reason": "construction requires n >= 1"}
+    assert not list(tmp_path.iterdir())
+
+
 def test_embed_n2_reports_dependency_cycle(tmp_path, capsys):
     code, _ = run(capsys, "--out-dir", tmp_path, "embed", "--n", "2", "--format", "svg")
     assert code == 3
@@ -262,10 +272,12 @@ def test_error_documents_are_written_like_artifacts(tmp_path, capsys):
 
 
 CEVIAN = str(FIXTURES / "cevian_ground.json")
+CEVIAN_TRIPLE = json.loads((FIXTURES / "cevian_triple.json").read_text())
 TABLE = {"type": "closure-table", "n": 2, "closure": {"0": 0, "1": 1, "2": 2, "3": 3}}
 
-# values that int() or bool() would coerce into a well-formed document, with
-# the command that reads them and the input error it must report
+# values that int(), bool() or iteration would coerce into a well-formed
+# document, or that a reader would crash on, with the command that reads them
+# and the input error it must report
 WRONG_JSON_TYPES = {
     "cover-indices-booleans": (
         ["check", "jsd", "--input"],
@@ -300,6 +312,30 @@ WRONG_JSON_TYPES = {
         ["build", "--input"],
         {"type": "finite-ground", "points": [["0"], [True]]},
         'rational must be a "p/q" string, got True'),
+    "point-string": (
+        ["build", "--input"],
+        {"type": "finite-ground", "points": ["12", "34", "05"]},
+        "point must be a JSON array, got '12'"),
+    "point-object": (
+        ["build", "--input"],
+        {"type": "finite-ground", "points": [{"1": 0, "2": 0}]},
+        "point must be a JSON array, got {'1': 0, '2': 0}"),
+    "segment-endpoint-string": (
+        ["segments", "check-i", "--input"],
+        {"type": "segment-ground", "segments": [{"a": "00", "b": ["1", "0"]}]},
+        "point must be a JSON array, got '00'"),
+    "polytope-vertex-string": (
+        ["segments", "check-ii", "--input", CEVIAN, "--polytope"],
+        {"type": "polytope", "vertices": ["00", ["4", "0"], ["0", "4"]]},
+        "point must be a JSON array, got '00'"),
+    "triple-of-two": (
+        ["segments", "sdv", "--input", CEVIAN, "--set"],
+        {**CEVIAN_TRIPLE, "triples": [["A", "B", "C"], ["A", "B"]]},
+        "a triple must be a JSON array of three set names, got ['A', 'B']"),
+    "triple-string": (
+        ["segments", "sdv", "--input", CEVIAN, "--set"],
+        {**CEVIAN_TRIPLE, "triples": ["ABC"]},
+        "a triple must be a JSON array of three set names, got 'ABC'"),
     "interval-end-float": (
         ["segments", "closure", "--input", CEVIAN, "--set"],
         {"pieces": [{"carrier_index": 0, "t_lo": 0.25, "t_hi": "1"}]},
@@ -325,14 +361,15 @@ def test_document_not_an_object_exit_1(tmp_path, capsys):
 
 
 # orders that are not lattices: Λ has no top, V no bottom, in the bowtie
-# a and b have the two upper bounds c and d but no least one, and the empty
-# order has neither bottom nor top
+# a and b have the two upper bounds c and d but no least one, the empty
+# order has neither bottom nor top, and covers b < c < b make no order
 NON_LATTICES = {
     "lambda": (["0", "a", "b"], [[0, 1], [0, 2]], "pair without upper bound"),
     "vee": (["a", "b", "1"], [[0, 2], [1, 2]], "pair without lower bound"),
     "bowtie": (["a", "b", "c", "d"], [[0, 2], [0, 3], [1, 2], [1, 3]],
                "pair without least upper bound"),
     "empty": ([], [], "lattice without elements"),
+    "cover-cycle": (["a", "b", "c"], [[0, 1], [1, 2], [2, 1]], "order not antisymmetric"),
 }
 
 

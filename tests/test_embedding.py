@@ -26,6 +26,7 @@ from relconvex.geometry import (
 )
 
 from oracles import p_point_reference
+from test_analysis import agrees_with_oracle, mutations
 
 
 def test_base_simplex_vertices():
@@ -252,7 +253,7 @@ def test_embedding_n1_fully_verified():
     assert w.report["lower_bounded"] is True
     # bottom goes to the empty trace
     bot = w.source.bottom()
-    assert w.target.labels[w.lattice_map.image[bot]] == 0
+    assert w.image[bot] == 0
 
 
 def test_embedding_n2_embeds_but_target_not_lower_bounded():
@@ -275,6 +276,16 @@ def test_embedding_n2_embeds_but_target_not_lower_bounded():
     assert w.report["source_lower_bounded"] is True
     assert not w.verified
     assert w.defect is not None and w.defect.kind == "d-cycle"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_embedding_map_checks_match_the_table_oracle(n):
+    w = build_embedding(n)
+    assert not any(agrees_with_oracle(w.source, w.ground, w.image).values())
+    rng = random.Random(n)
+    for _ in range(4):
+        for mutated in mutations(rng, w.ground, w.image):
+            agrees_with_oracle(w.source, w.ground, mutated)
 
 
 def test_embedding_n2_d_cycle_revalidates():
@@ -320,6 +331,13 @@ def test_embedding_rejects_large_n():
         build_embedding(3)
     with pytest.raises(ResourceLimitError):
         build_embedding(4, allow_large=True)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_embedding_rejects_n_below_1_as_input(n):
+    for build in (build_embedding, build_ground_set):
+        with pytest.raises(InputError, match="n >= 1"):
+            build(n)
 
 
 def test_embedding_target_is_convex_geometry():
