@@ -21,10 +21,6 @@ from .analysis import (
     find_m3,
 )
 from .boolsub import (
-    OpenFaceSet,
-    meet_closure,
-    phi,
-    psi,
     subm_lattice,
     verify_claim_join,
 )
@@ -51,7 +47,6 @@ from .geometry import (
     Segment,
     VPolytope,
     affine_span_dim,
-    caratheodory_member,
     extreme_points,
     hull_member,
     qp,

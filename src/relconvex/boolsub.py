@@ -1,12 +1,15 @@
 """The Boolean lattice of subsets of {0..n}, its meet-subsemilattices, and
 their geometric images inside a simplex.
 
-Subsets are int bitmasks; a family of subsets is a frozenset of masks.  The
-map ``psi`` sends a subset t to the relative interior of the simplex face
-spanned by the complementary vertex set (empty for the full subset, a single
-vertex when the complement is a singleton).  ``phi`` takes unions of such
-pieces over a meet-closed family; by construction these unions are convex,
-which is what ``verify_claim_join`` certifies pair by pair.
+Subsets are int bitmasks.  A family of subsets is a frozenset of masks while
+it is enumerated, and its code (bit t set for each member t) once it is an
+element of the family lattice; the code's sorted bits are the family's
+sorted members.  A subset t maps to the open face of the simplex on the
+complementary vertices, full ^ t (nothing for the full subset), and a family
+to the union of its members' faces: a union of open faces is a set of vertex
+masks, which ``face_generators`` turns into hull generators.
+``verify_claim_join`` certifies pair by pair that such unions over
+meet-closed families are convex.
 
 Everything geometric reduces to exact barycentric support computations:
 inside a simplex every point has unique affine coordinates, so each point
@@ -16,7 +19,6 @@ belongs to exactly one open face.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -44,19 +46,6 @@ def is_meet_closed(family: Iterable[int]) -> bool:
     return all(a & b in fam for a, b in itertools.combinations(fam, 2))
 
 
-def meet_closure(family: Iterable[int]) -> frozenset[int]:
-    fam = set(family)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(fam), 2):
-            m = a & b
-            if m not in fam:
-                fam.add(m)
-                changed = True
-    return frozenset(fam)
-
-
 def iter_meet_subsemilattices(n: int) -> Iterator[frozenset[int]]:
     """All meet-closed families of subsets of {0..n}, the empty family
     included, in increasing order of the family code."""
@@ -76,29 +65,14 @@ def _family_code(family: frozenset[int]) -> int:
     return code
 
 
-def _code_family(code: int, size: int) -> frozenset[int]:
-    return frozenset(m for m in range(size) if code >> m & 1)
-
-
-def subm_lattice(n: int, families: Optional[Iterable[frozenset[int]]] = None) -> FiniteLattice:
-    """The lattice of meet-closed families ordered by inclusion.
+def subm_lattice(families: Iterable[frozenset[int]]) -> FiniteLattice:
+    """The lattice of the given meet-closed families ordered by inclusion,
+    each element labelled by its family code.
 
     Meet is intersection and join is the meet-closure of the union; the
-    families form a closure system over the 2^(n+1) subsets, so the lattice
-    is built from family bitcodes.  Pass ``families`` to build the lattice of
-    a sub-collection (it must itself be closed under meet and join).  Without
-    ``families`` the lattice of all families is built for n <= 2 only: for
-    n = 3 its 4960 elements need about 200 MB of tables.
+    families must form a closure system over the subsets (closed under both).
     """
-    if families is None:
-        if n > 2:
-            raise ResourceLimitError("full family lattice limited to n <= 2; "
-                                     "pass families")
-        families = iter_meet_subsemilattices(n)
-    size = 1 << (n + 1)
-    codes = sorted(_family_code(f) for f in families)
-    lat = FiniteLattice.from_closed_masks(codes)
-    return lat.relabel([_code_family(c, size) for c in lat.labels])
+    return FiniteLattice.from_closed_masks([_family_code(f) for f in families])
 
 
 # ---------------------------------------------------------------------------
@@ -124,57 +98,21 @@ def face_support(q: Point, simplex: VPolytope) -> Optional[int]:
     return sum(1 << i for i, c in enumerate(coords) if c > 0)
 
 
-@dataclass(frozen=True)
-class OpenFaceSet:
-    """A union of relative interiors of faces of a fixed simplex.
-
-    ``pieces`` holds vertex-index masks; the piece for mask A is the set of
-    points whose barycentric support is exactly A (the open face on A, a
-    vertex when |A| = 1).  Distinct pieces are disjoint point sets.
-    """
-
-    simplex: VPolytope
-    pieces: frozenset[int]
-
-    def contains(self, q: Point) -> bool:
-        support = face_support(q, self.simplex)
-        return support is not None and support in self.pieces
-
-    def as_generators(self) -> Optional[MixedGenerators]:
-        verts = self.simplex.vertices
-        points = []
-        faces = []
-        for mask in self.pieces:
-            members = [verts[i] for i in range(len(verts)) if mask >> i & 1]
-            if len(members) == 1:
-                points.append(members[0])
-            else:
-                faces.append(tuple(members))
-        if not points and not faces:
-            return None
-        return MixedGenerators(points=tuple(points), open_faces=tuple(faces))
-
-
-def psi(t: int, simplex: VPolytope) -> OpenFaceSet:
-    """Image of a single subset: the open face on the complementary vertices
-    (empty for the full subset)."""
-    n = check_simplex(simplex)
-    full = full_mask(n)
-    if t & ~full:
-        raise InputError("subset outside the base set")
-    comp = full ^ t
-    pieces = frozenset() if comp == 0 else frozenset({comp})
-    return OpenFaceSet(simplex, pieces)
-
-
-def phi(family: frozenset[int], simplex: VPolytope) -> OpenFaceSet:
-    """Union of psi over a meet-closed family."""
-    n = check_simplex(simplex)
-    if not is_meet_closed(family):
-        raise InputError("family is not closed under intersection")
-    full = full_mask(n)
-    pieces = frozenset(full ^ t for t in family if t != full)
-    return OpenFaceSet(simplex, pieces)
+def face_generators(simplex: VPolytope, masks: Iterable[int]) -> Optional[MixedGenerators]:
+    """Generators of the union of the open faces of the simplex on the given
+    vertex masks (a vertex for a one-bit mask), or None for no faces."""
+    verts = simplex.vertices
+    points = []
+    faces = []
+    for mask in masks:
+        members = [verts[i] for i in range(len(verts)) if mask >> i & 1]
+        if len(members) == 1:
+            points.append(members[0])
+        else:
+            faces.append(tuple(members))
+    if not points and not faces:
+        return None
+    return MixedGenerators(points=tuple(points), open_faces=tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +140,8 @@ def _support_samples(support: int, n: int) -> list[tuple[Fraction, ...]]:
 
 
 def verify_claim_join(a: int, b: int, simplex: VPolytope) -> tuple[bool, dict]:
-    """Certify hull(psi(a) ∪ psi(b)) = psi(a) ∪ psi(b) ∪ psi(a∩b).
+    """Certify hull(F(a) ∪ F(b)) = F(a) ∪ F(b) ∪ F(a∩b), F(t) the open face
+    on the complementary vertices full ^ t (empty for the full subset).
 
     Containment of the hull in the three pieces is checked at the piece
     level: for every face of the simplex, the face centroid must be in the
@@ -216,8 +155,7 @@ def verify_claim_join(a: int, b: int, simplex: VPolytope) -> tuple[bool, dict]:
     A, B = full ^ a, full ^ b
     allowed = {m for m in (A, B, A | B) if m}
     verts = simplex.vertices
-    union_set = OpenFaceSet(simplex, frozenset(m for m in (A, B) if m))
-    gens = union_set.as_generators()
+    gens = face_generators(simplex, {A, B} - {0})
 
     detail: dict = {"piece_mismatch": None, "sample_failure": None}
     for C in range(1, full + 1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, ResourceLimitError
 from .geometry import Point
@@ -97,15 +97,6 @@ class FiniteGround:
             if any(m & mask == m for m in table[i]):
                 out |= bit
         return out
-
-    def closure(self, indices: Iterable[int]) -> frozenset[int]:
-        mask = 0
-        for i in indices:
-            if not 0 <= i < self.n:
-                raise InputError(f"index {i} outside ground")
-            mask |= 1 << i
-        out = self.closure_mask(mask)
-        return frozenset(i for i in range(self.n) if out >> i & 1)
 
     # -- enumeration --------------------------------------------------------
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import Witness, check_lower_bounded, map_defects
-from .boolsub import OpenFaceSet, face_support, full_mask, iter_meet_subsemilattices, subm_lattice
+from .boolsub import face_generators, face_support, full_mask, iter_meet_subsemilattices, subm_lattice
 from .closure import FiniteGround
 from .errors import ConstructionError, InputError, ResourceLimitError
 from .geometry import (
@@ -392,11 +392,11 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
     full = full_mask(n)
     all_families = list(iter_meet_subsemilattices(n))
     families = [f for f in all_families if full in f]
-    source = subm_lattice(n, families=families)
+    source = subm_lattice(families)
     target = ground.lattice(max_ground=ground.n)
 
     base = ctor.base
-    piece_gens = {piece: OpenFaceSet(base, frozenset({piece})).as_generators()
+    piece_gens = {piece: face_generators(base, [piece])
                   for piece in range(1, full + 1)}
     supports = []
     audit_ok = True
@@ -408,8 +408,8 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
             if strict_hull_member(x, gens) != (piece == s):
                 audit_ok = False
 
-    image = [sum(1 << bit for bit, s in enumerate(supports) if (full ^ s) in fam)
-             for fam in source.labels]
+    image = [sum(1 << bit for bit, s in enumerate(supports) if code >> (full ^ s) & 1)
+             for code in source.labels]
     defects = map_defects(source, ground, image)
     emb_witness = next(filter(None, defects.values()), None)
     lb_ok, lb_witness = check_lower_bounded(target)

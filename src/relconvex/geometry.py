@@ -185,10 +185,6 @@ def caratheodory_witness(q: Point, pts: Sequence[Point]):
     return None
 
 
-def caratheodory_member(q: Point, pts: Sequence[Point]) -> bool:
-    return caratheodory_witness(q, pts) is not None
-
-
 def extreme_points(pts: Sequence[Point]) -> list[Point]:
     """Points x of the input with x outside the hull of the others."""
     if not pts:

@@ -106,19 +106,6 @@ def ground_from_json(data: dict) -> FiniteGround:
     return FiniteGround([point_from_json(p) for p in data["points"]])
 
 
-def segment_ground_to_json(g: SegmentUnionGround) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "segment-ground",
-        "dim": g.dim,
-        "segments": [
-            {"a": point_to_json(s.a), "b": point_to_json(s.b),
-             "a_closed": s.a_closed, "b_closed": s.b_closed}
-            for s in g.segments
-        ],
-    }
-
-
 @_document
 def segment_ground_from_json(data: dict) -> SegmentUnionGround:
     if data.get("type") != "segment-ground":
@@ -198,8 +185,6 @@ def closure_table_from_json(data: dict):
 def _element_to_json(label) -> object:
     if isinstance(label, int):
         return sorted(i for i in range(label.bit_length()) if label >> i & 1)
-    if isinstance(label, frozenset):
-        return sorted(label)
     return label
 
 
@@ -223,6 +208,8 @@ def lattice_to_json(lat: FiniteLattice, include_tables: bool = False) -> dict:
 def lattice_from_json(data: dict) -> FiniteLattice:
     if data.get("type") != "lattice":
         raise InputError("expected a lattice document")
+    if not isinstance(data["elements"], list):
+        raise InputError(f"lattice elements must be a JSON array, got {data['elements']!r}")
     labels = [tuple(e) if isinstance(e, list) else e for e in data["elements"]]
     for pair in data["covers"]:
         for i in pair:

@@ -24,6 +24,10 @@ class NotALatticeError(InputError):
 
 class FiniteLattice:
     def __init__(self, labels: Sequence[Hashable], leq: np.ndarray):
+        self._setup(labels, leq)
+        self._check_order()
+
+    def _setup(self, labels: Sequence[Hashable], leq: np.ndarray):
         self.labels = list(labels)
         self.n = len(self.labels)
         leq = np.asarray(leq, dtype=bool)
@@ -35,14 +39,14 @@ class FiniteLattice:
         if len(set(self.labels)) != self.n:
             raise InputError("duplicate element labels")
         self._join = self._meet = self._covers = None    # computed on demand
-        self._check_order()
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_closed_masks(cls, masks: Sequence[int]) -> "FiniteLattice":
         """Lattice of a closure system: elements are bitmasks ordered by
-        inclusion, meet is intersection, join is the least closed superset."""
+        inclusion, meet is intersection, join is the least closed superset.
+        Inclusion of distinct masks is a partial order, so it is not checked."""
         order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
         if len(set(order)) != len(order):
             raise InputError("duplicate closed sets")
@@ -50,7 +54,8 @@ class FiniteLattice:
             raise ResourceLimitError("closed-set masks over more than 63 points "
                                      "do not fit the int64 lattice tables")
         E = np.array(order, dtype=np.int64)
-        lat = cls(order, (E[None, :] & E[:, None]) == E[:, None])
+        lat = cls.__new__(cls)
+        lat._setup(order, (E[None, :] & E[:, None]) == E[:, None])
         by_value = np.argsort(E, kind="stable")    # as in _compute_tables: one sort in memory
         values = E[by_value]
         meet = np.empty((lat.n, lat.n), dtype=np.int32)
@@ -89,15 +94,6 @@ class FiniteLattice:
         reach = (self.leq.astype(np.float64) @ self.leq.astype(np.float64)) > 0
         if (reach & ~self.leq).any():
             raise InputError("order not transitive")
-
-    def relabel(self, new_labels: Sequence[Hashable]) -> "FiniteLattice":
-        """Replace element labels in place (same order); returns self."""
-        if len(new_labels) != self.n:
-            raise InputError("label count mismatch")
-        if len(set(new_labels)) != self.n:
-            raise InputError("duplicate element labels")
-        self.labels = list(new_labels)
-        return self
 
     def bottom(self) -> int:
         rows = np.nonzero(self.leq.all(axis=1))[0]

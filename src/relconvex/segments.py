@@ -96,10 +96,6 @@ class SubsegmentSet:
     def empty(cls, ground: SegmentUnionGround) -> "SubsegmentSet":
         return cls(ground, [[] for _ in range(ground.k)], _canonical=True)
 
-    @classmethod
-    def whole(cls, ground: SegmentUnionGround) -> "SubsegmentSet":
-        return cls(ground, [[s.domain()] for s in ground.segments], _canonical=True)
-
     # -- structure -------------------------------------------------------------
 
     @property

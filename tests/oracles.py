@@ -21,12 +21,46 @@ from relconvex.analysis import (
     WEAK_ATOM_VIOLATION,
     Witness,
 )
+from relconvex.boolsub import check_simplex, full_mask, is_meet_closed
 from relconvex.closure import FiniteGround
 from relconvex.embedding import _shrink_labeled
 from relconvex.errors import ConstructionError, InputError
 from relconvex.geometry import Point, Segment, VPolytope, interpolate, sub
 from relconvex.intervals import Interval, union_intervals
 from relconvex.lattice import FiniteLattice, NotALatticeError
+
+
+def meet_closure(family) -> frozenset[int]:
+    """Close a family of subset masks under pairwise intersection."""
+    fam = set(family)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(fam), 2):
+            m = a & b
+            if m not in fam:
+                fam.add(m)
+                changed = True
+    return frozenset(fam)
+
+
+def psi(t: int, simplex: VPolytope) -> frozenset[int]:
+    """Image of a single subset as vertex masks of open faces: the face on
+    the complementary vertices (no face for the full subset)."""
+    n = check_simplex(simplex)
+    full = full_mask(n)
+    if t & ~full:
+        raise InputError("subset outside the base set")
+    return frozenset({full ^ t}) - {0}
+
+
+def phi(family: frozenset[int], simplex: VPolytope) -> frozenset[int]:
+    """Union of psi over a meet-closed family."""
+    n = check_simplex(simplex)
+    if not is_meet_closed(family):
+        raise InputError("family is not closed under intersection")
+    full = full_mask(n)
+    return frozenset(full ^ t for t in family if t != full)
 
 
 def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:

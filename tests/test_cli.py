@@ -283,6 +283,14 @@ WRONG_JSON_TYPES = {
         ["check", "jsd", "--input"],
         {"type": "lattice", "elements": [[], [0]], "covers": [[False, True]]},
         "cover index must be a JSON integer, got False"),
+    "lattice-elements-string": (
+        ["check", "jsd", "--input"],
+        {"type": "lattice", "elements": "ab", "covers": [[0, 1]]},
+        "lattice elements must be a JSON array, got 'ab'"),
+    "lattice-elements-object": (
+        ["check", "jsd", "--input"],
+        {"type": "lattice", "elements": {"a": 1, "b": 2}, "covers": [[0, 1]]},
+        "lattice elements must be a JSON array, got {'a': 1, 'b': 2}"),
     "closure-value-float": (
         ["check", "antiexchange", "--input"],
         {**TABLE, "closure": {**TABLE["closure"], "0": 0.9}},

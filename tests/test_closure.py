@@ -12,7 +12,7 @@ from oracles import witness_table_reference
 from relconvex.closure import FiniteGround
 from relconvex.embedding import build_ground_set
 from relconvex.errors import InputError, ResourceLimitError
-from relconvex.geometry import caratheodory_member, qp
+from relconvex.geometry import caratheodory_witness, qp
 from relconvex.lattice import FiniteLattice
 from relconvex.linalg import rref_int
 
@@ -32,12 +32,12 @@ def test_closure_empty_is_empty():
 def test_closure_order_convex_on_line():
     g = lattices.collinear_ground([0, 1, 2, 3])
     # {x1, x3} closes to {x1, x2, x3}
-    assert g.closure([0, 2]) == frozenset({0, 1, 2})
+    assert g.closure_mask(0b101) == 0b111
 
 
 def test_closure_centroid():
     g = FiniteGround([qp(0, 0), qp(3, 0), qp(0, 3), qp(1, 1)])
-    assert g.closure([0, 1, 2]) == frozenset({0, 1, 2, 3})
+    assert g.closure_mask(0b0111) == 0b1111
 
 
 def test_closure_axioms_exhaustive_small():
@@ -133,7 +133,7 @@ def test_closure_matches_caratheodory_oracle():
             gens = [g.points[j] for j in range(g.n) if mask >> j & 1]
             expect = mask
             for x in range(g.n):
-                if not mask >> x & 1 and caratheodory_member(g.points[x], gens):
+                if not mask >> x & 1 and caratheodory_witness(g.points[x], gens) is not None:
                     expect |= 1 << x
             assert g.closure_mask(mask) == expect
 
@@ -145,10 +145,10 @@ def test_stored_witnesses_are_inclusion_minimal():
             for w in witnesses:
                 members = [j for j in range(g.n) if w >> j & 1]
                 assert x not in members and len(members) <= g.dim + 1
-                assert caratheodory_member(g.points[x], [g.points[j] for j in members])
+                assert caratheodory_witness(g.points[x], [g.points[j] for j in members]) is not None
                 for drop in members:
                     rest = [g.points[j] for j in members if j != drop]
-                    assert not caratheodory_member(g.points[x], rest)
+                    assert caratheodory_witness(g.points[x], rest) is None
 
 
 def test_witness_table_invariant_under_affine_rescaling():
@@ -206,7 +206,7 @@ def test_witness_table_on_the_n2_construction_ground():
 def caratheodory_closure(g, mask):
     gens = [g.points[j] for j in range(g.n) if mask >> j & 1]
     return mask | sum(1 << x for x in range(g.n)
-                      if not mask >> x & 1 and caratheodory_member(g.points[x], gens))
+                      if not mask >> x & 1 and caratheodory_witness(g.points[x], gens) is not None)
 
 
 def assert_matches_references(g):
@@ -238,7 +238,7 @@ def test_collinear_ground_in_q3():
 
 def test_ground_in_q1():
     g = FiniteGround([(F(x),) for x in (F(5, 2), F(-3), F(0), F(2), F(-1))])
-    assert g.closure([1, 0]) == frozenset(range(5))
+    assert g.closure_mask(0b00011) == 0b11111
     assert_matches_references(g)
 
 

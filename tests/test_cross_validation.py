@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from relconvex.boolsub import OpenFaceSet, full_mask, iter_meet_subsemilattices, phi
+from relconvex.boolsub import face_generators, face_support, full_mask, iter_meet_subsemilattices
 from relconvex.closure import FiniteGround
 from relconvex.geometry import (
     MixedGenerators,
@@ -21,7 +21,7 @@ from relconvex.geometry import (
 from relconvex.intervals import Interval
 from relconvex.segments import SegmentUnionGround, SubsegmentSet, seg_closure
 
-from oracles import supports_face
+from oracles import phi, supports_face
 
 
 def test_cube_faces_against_lp_oracle():
@@ -103,9 +103,9 @@ def test_phi_traces_match_strict_membership_n2():
     rng.shuffle(fams)
     for fam in fams[:10]:
         image = phi(fam, simplex)
+        gens = face_generators(simplex, image)
         for x in ground.points:
-            symbolic = image.contains(x)
-            gens = image.as_generators()
+            symbolic = face_support(x, simplex) in image
             via_lp = False if gens is None else strict_hull_member(x, gens)
             assert symbolic == via_lp
 

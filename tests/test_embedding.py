@@ -355,14 +355,31 @@ def test_embedding_target_is_convex_geometry():
     assert check_anti_exchange(w.ground)[0]
 
 
+def family(code: int) -> frozenset[int]:
+    return frozenset(m for m in range(code.bit_length()) if code >> m & 1)
+
+
 def test_embedding_source_join_meet_semantics():
     # joins in the source are meet-closures of unions; meets are intersections
-    from relconvex.boolsub import meet_closure
+    from oracles import meet_closure
 
     w = build_embedding(1)
     lat = w.source
     for i in range(lat.n):
         for j in range(lat.n):
-            a, b = lat.labels[i], lat.labels[j]
-            assert lat.labels[lat.meet_table[i, j]] == a & b
-            assert lat.labels[lat.join_table[i, j]] == meet_closure(a | b)
+            a, b = family(lat.labels[i]), family(lat.labels[j])
+            assert family(lat.labels[lat.meet_table[i, j]]) == a & b
+            assert family(lat.labels[lat.join_table[i, j]]) == meet_closure(a | b)
+
+
+def test_source_elements_are_the_sorted_family_members():
+    # elements are labelled by family code, smaller families first; the
+    # lattice document lists each family's sorted members
+    from relconvex.boolsub import _family_code, full_mask, iter_meet_subsemilattices
+    from relconvex.io import lattice_to_json
+
+    w = build_embedding(2)
+    families = sorted((f for f in iter_meet_subsemilattices(2) if full_mask(2) in f),
+                      key=lambda f: (len(f), _family_code(f)))
+    assert w.source.labels == [_family_code(f) for f in families]
+    assert lattice_to_json(w.source)["elements"] == [sorted(f) for f in families]
