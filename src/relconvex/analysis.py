@@ -186,25 +186,21 @@ def check_anti_exchange(operator, closed: Optional[Sequence[int]] = None
                         ) -> tuple[bool, Optional[Witness]]:
     """Anti-exchange axiom for a closure operator (FiniteGround or table):
     for closed A and distinct x, y outside A, x in cl(A+y) forbids
-    y in cl(A+x).  ``closed`` lists the operator's closed sets when the
+    y in cl(A+x).  Both hold iff cl(A+x) = cl(A+y), so the axiom says that
+    y -> cl(A+y) is injective off A; the witness is the least pair (x, y)
+    with one closure.  ``closed`` lists the operator's closed sets when the
     caller has enumerated them (say under a ground-size bound)."""
-    n = operator.n
     if closed is None:
         closed = operator.enumerate_closed_masks()
     for A in closed:
-        added = [operator.closure_mask(A | (1 << y)) if not A >> y & 1 else 0
-                 for y in range(n)]
-        for x in range(n):
-            if A >> x & 1:
-                continue
-            for y in range(x + 1, n):
-                if A >> y & 1:
-                    continue
-                if added[y] >> x & 1 and added[x] >> y & 1:
-                    return False, Witness(
-                        ANTI_EXCHANGE_VIOLATION,
-                        [A, x, y],
-                        {"roles": ["closed-set-mask", "x", "y"]})
+        groups: dict[int, list[int]] = {}
+        for y in range(operator.n):
+            if not A >> y & 1:
+                groups.setdefault(operator.closure_mask(A | 1 << y), []).append(y)
+        pair = min((g[:2] for g in groups.values() if len(g) > 1), default=None)
+        if pair:
+            return False, Witness(ANTI_EXCHANGE_VIOLATION, [A, *pair],
+                                  {"roles": ["closed-set-mask", "x", "y"]})
     return True, None
 
 

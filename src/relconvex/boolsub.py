@@ -9,11 +9,10 @@ complementary vertices, full ^ t (nothing for the full subset), and a family
 to the union of its members' faces: a union of open faces is a set of vertex
 masks, which ``face_generators`` turns into hull generators.
 ``verify_claim_join`` certifies pair by pair that such unions over
-meet-closed families are convex.
-
-Everything geometric reduces to exact barycentric support computations:
-inside a simplex every point has unique affine coordinates, so each point
-belongs to exactly one open face.
+meet-closed families are convex, by strict hull membership of face
+centroids and of rational barycentric samples.  A point of the simplex lies
+in the one open face on the support of its barycentric coordinates; the
+embedding reads that support off their closed form on the standard simplex.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import InputError, ResourceLimitError
 from .geometry import (
     MixedGenerators,
-    Point,
     VPolytope,
-    affine_coordinates,
     centroid,
     combination,
     strict_hull_member,
@@ -87,15 +84,6 @@ def check_simplex(simplex: VPolytope) -> int:
     if len(simplex.vertices) != n + 1:
         raise InputError("base simplex must have n+1 vertices")
     return n
-
-
-def face_support(q: Point, simplex: VPolytope) -> Optional[int]:
-    """Mask of the positive barycentric coordinates of q (the open face
-    holding q), or None when q lies outside the simplex."""
-    coords = affine_coordinates(q, simplex.vertices)
-    if coords is None or any(c < 0 for c in coords):
-        return None
-    return sum(1 << i for i, c in enumerate(coords) if c > 0)
 
 
 def face_generators(simplex: VPolytope, masks: Iterable[int]) -> Optional[MixedGenerators]:

@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = add_cmd("embed", help="simplex construction and embedding verification")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--format", choices=["json", "dot", "svg"], default="json")
-    e.add_argument("--allow-large", action="store_true")
+    e.add_argument("--allow-large", action="store_true",
+                   help="allow n = 3, which does not finish (ran past 150 s)")
     e.set_defaults(func=cmd_embed)
 
     s = add_cmd("segments", help="segment-union ground operations")

@@ -12,7 +12,10 @@ LPs, so closure, join and meet solve no LP beyond the closure's own.
 
 Closure is computed carrier by carrier with the exact strict-LP machinery of
 :mod:`relconvex.geometry`: the closure of Y is the set of carrier parameters
-whose point is a convex combination of Y's pieces.
+whose point is a convex combination of Y's pieces.  Since canonical sets
+compare as point sets, the face restriction hull(Y) ∩ F = hull(Y ∩ F) is
+checked as that identity of closures and meets, with F cut to its trace on
+the ground.
 """
 
 from __future__ import annotations
@@ -240,24 +243,14 @@ _SAMPLE_DENOMINATOR = 3
 
 def face_restriction_check(y, poly: VPolytope, face) -> bool:
     """hull(Y) ∩ F = hull(Y ∩ F), checked exactly per sample point (finite Y)
-    or per carrier parameter interval (subsegment Y)."""
+    or as the identity itself on the canonical sets of the ground (subsegment
+    Y), with F cut to its trace on the ground."""
     fverts = face.vertices if hasattr(face, "vertices") else tuple(face)
     if isinstance(y, SubsegmentSet):
-        ygens = y.as_generators()
         fgens = MixedGenerators(points=tuple(fverts))
-        on_face = [segment_hull_param_intervals(c, fgens) for c in y.ground.segments]
-        face_trace = SubsegmentSet(y.ground, on_face, _canonical=True)
-        yf_gens = seg_meet(y, face_trace).as_generators()
-        for carrier, trace in zip(y.ground.segments, on_face):
-            if ygens is None:
-                lhs = ()
-            else:
-                lhs = intersect_unions(segment_hull_param_intervals(carrier, ygens), trace)
-            rhs = (() if yf_gens is None
-                   else segment_hull_param_intervals(carrier, yf_gens))
-            if tuple(lhs) != tuple(rhs):
-                return False
-        return True
+        on_face = SubsegmentSet(y.ground, [segment_hull_param_intervals(c, fgens)
+                                           for c in y.ground.segments], _canonical=True)
+        return seg_meet(seg_closure(y), on_face) == seg_closure(seg_meet(y, on_face))
     pts = [tuple(Fraction(c) for c in p) for p in y]
     for p in pts:
         if not hull_member(p, poly.vertices):
@@ -293,18 +286,14 @@ def face_hom_check(ground_points: Sequence[Point], poly: VPolytope, face) -> dic
             raise InputError("ground must be contained in the polytope")
     lat = FiniteGround(pts).lattice()
     on_face = [i for i, p in enumerate(pts) if hull_member(p, fverts)]
-    report = {"trace_closed": True, "joins": True, "meets": True, "surjective": True}
     if not on_face:
-        report["face_ground_empty"] = True
-        return report
+        return {"trace_closed": True, "joins": True, "meets": True, "surjective": True,
+                "face_ground_empty": True}
     gf = FiniteGround([pts[i] for i in on_face])
     images = [sum(1 << new for new, orig in enumerate(on_face) if mask >> orig & 1)
               for mask in lat.labels]
     defects = map_defects(lat, gf, images)
-    if defects["image-not-closed"] is not None:
-        report["trace_closed"] = False
-        return report
-    report["joins"] = defects["join-not-preserved"] is None
-    report["meets"] = defects["meet-not-preserved"] is None
-    report["surjective"] = len(set(images)) == len(gf.enumerate_closed_masks())
-    return report
+    return {"trace_closed": defects["image-not-closed"] is None,
+            "joins": defects["join-not-preserved"] is None,
+            "meets": defects["meet-not-preserved"] is None,
+            "surjective": len(set(images)) == len(gf.enumerate_closed_masks())}

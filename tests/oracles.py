@@ -13,6 +13,7 @@ import numpy as np
 
 from relconvex import linalg, lp
 from relconvex.analysis import (
+    ANTI_EXCHANGE_VIOLATION,
     BIATOMICITY_VIOLATION,
     DISTRIBUTIVITY_VIOLATION,
     EMBEDDING_DEFECT,
@@ -25,9 +26,19 @@ from relconvex.boolsub import check_simplex, full_mask, is_meet_closed
 from relconvex.closure import FiniteGround
 from relconvex.embedding import _shrink_labeled
 from relconvex.errors import ConstructionError, InputError
-from relconvex.geometry import Point, Segment, VPolytope, interpolate, sub
-from relconvex.intervals import Interval, union_intervals
+from relconvex.geometry import (
+    MixedGenerators,
+    Point,
+    Segment,
+    VPolytope,
+    affine_coordinates,
+    interpolate,
+    segment_hull_param_intervals,
+    sub,
+)
+from relconvex.intervals import Interval, intersect_unions, union_intervals
 from relconvex.lattice import FiniteLattice, NotALatticeError
+from relconvex.segments import SubsegmentSet, seg_meet
 
 
 def meet_closure(family) -> frozenset[int]:
@@ -61,6 +72,15 @@ def phi(family: frozenset[int], simplex: VPolytope) -> frozenset[int]:
         raise InputError("family is not closed under intersection")
     full = full_mask(n)
     return frozenset(full ^ t for t in family if t != full)
+
+
+def face_support(q: Point, simplex: VPolytope) -> Optional[int]:
+    """Mask of the positive barycentric coordinates of q (the open face
+    holding q) by a linear solve, or None when q lies outside the simplex."""
+    coords = affine_coordinates(q, simplex.vertices)
+    if coords is None or any(c < 0 for c in coords):
+        return None
+    return sum(1 << i for i, c in enumerate(coords) if c > 0)
 
 
 def supports_face(poly: VPolytope, indices: frozenset[int]) -> bool:
@@ -693,3 +713,48 @@ def map_defects_reference(source: FiniteLattice, target: FiniteLattice,
 
 def dumps_reference(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def anti_exchange_reference(operator, closed: Optional[Sequence[int]] = None
+                            ) -> tuple[bool, Optional[Witness]]:
+    """The anti-exchange axiom by its pair scan: for each closed A, the
+    first x < y outside A with x in cl(A+y) and y in cl(A+x)."""
+    n = operator.n
+    if closed is None:
+        closed = operator.enumerate_closed_masks()
+    for A in closed:
+        added = [operator.closure_mask(A | (1 << y)) if not A >> y & 1 else 0
+                 for y in range(n)]
+        for x in range(n):
+            if A >> x & 1:
+                continue
+            for y in range(x + 1, n):
+                if A >> y & 1:
+                    continue
+                if added[y] >> x & 1 and added[x] >> y & 1:
+                    return False, Witness(
+                        ANTI_EXCHANGE_VIOLATION,
+                        [A, x, y],
+                        {"roles": ["closed-set-mask", "x", "y"]})
+    return True, None
+
+
+def face_restriction_reference(y, face_vertices: Sequence[Point]) -> bool:
+    """hull(Y) ∩ F = hull(Y ∩ F) for a subsegment set Y, carrier by carrier:
+    the hull trace of Y cut to F's trace against the hull trace of Y ∩ F,
+    as raw interval lists."""
+    ygens = y.as_generators()
+    fgens = MixedGenerators(points=tuple(face_vertices))
+    on_face = [segment_hull_param_intervals(c, fgens) for c in y.ground.segments]
+    face_trace = SubsegmentSet(y.ground, on_face, _canonical=True)
+    yf_gens = seg_meet(y, face_trace).as_generators()
+    for carrier, trace in zip(y.ground.segments, on_face):
+        if ygens is None:
+            lhs = ()
+        else:
+            lhs = intersect_unions(segment_hull_param_intervals(carrier, ygens), trace)
+        rhs = (() if yf_gens is None
+               else segment_hull_param_intervals(carrier, yf_gens))
+        if tuple(lhs) != tuple(rhs):
+            return False
+    return True

@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import lattices
-from oracles import map_defects_reference
+from oracles import anti_exchange_reference, map_defects_reference
 from relconvex.analysis import (
     ClosureTable,
     Witness,
@@ -22,6 +24,7 @@ from relconvex.analysis import (
 )
 from relconvex.closure import FiniteGround
 from relconvex.geometry import hull_member
+from relconvex.io import closure_table_from_json, ground_from_json
 from relconvex.lattice import FiniteLattice
 
 
@@ -127,6 +130,55 @@ def test_anti_exchange_symmetric_table_fails():
     assert A == 0
     assert op.closure_mask(A | 1 << y) >> x & 1
     assert op.closure_mask(A | 1 << x) >> y & 1
+
+
+def random_closure_table(rng, n):
+    """The closure operator of a random intersection-closed family on n
+    points that contains the full set: cl(S) is the meet of its members
+    above S."""
+    full = (1 << n) - 1
+    family = {full} | {rng.randrange(full + 1) for _ in range(rng.randint(0, 1 << n))}
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    table = {}
+    for mask in range(full + 1):
+        table[mask] = full
+        for c in family:
+            if c & mask == mask:
+                table[mask] &= c
+    return ClosureTable(n, table)
+
+
+def assert_anti_exchange_matches_oracle(operator):
+    ok, w = check_anti_exchange(operator)
+    ref_ok, ref_w = anti_exchange_reference(operator)
+    assert ok == ref_ok
+    assert (w and w.to_json()) == (ref_w and ref_w.to_json())
+    return ok
+
+
+def test_anti_exchange_matches_the_pair_scan_on_random_tables():
+    rng = random.Random(19)
+    violations = 0
+    for _ in range(3000):
+        violations += not assert_anti_exchange_matches_oracle(
+            random_closure_table(rng, rng.randint(1, 5)))
+    assert 0 < violations < 3000
+
+
+def test_anti_exchange_matches_the_pair_scan_on_grounds_and_fixtures():
+    rng = random.Random(20)
+    for _ in range(200):
+        assert assert_anti_exchange_matches_oracle(random_planar_ground(rng, rng.randint(3, 7)))
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    table = closure_table_from_json(json.loads((fixtures / "exchange_table.json").read_text()))
+    assert not assert_anti_exchange_matches_oracle(table)
+    for name in ("collinear4", "unit_square"):
+        ground = ground_from_json(json.loads((fixtures / f"{name}.json").read_text()))
+        assert assert_anti_exchange_matches_oracle(ground)
 
 
 def test_closure_table_validation():

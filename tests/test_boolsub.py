@@ -5,10 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import meet_closure, phi, psi
+from oracles import face_support, meet_closure, phi, psi
 from relconvex.boolsub import (
     _family_code,
-    face_support,
     full_mask,
     iter_meet_subsemilattices,
     subm_lattice,

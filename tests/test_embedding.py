@@ -21,11 +21,12 @@ from relconvex.geometry import (
     VPolytope,
     affine_coordinates,
     affine_span_dim,
+    centroid,
     qp,
     standard_simplex,
 )
 
-from oracles import p_point_reference
+from oracles import face_support, p_point_reference
 from test_analysis import agrees_with_oracle, mutations
 
 
@@ -178,13 +179,40 @@ def test_lemma_report_n1_and_n2():
         assert rep.ok, [c for c in rep.checks if not c.ok]
 
 
+def with_amounts(n: int, amounts) -> Construction:
+    """The construction on the standard n-simplex with an explicit schedule:
+    every face copy shrunk by its level's amount, as build_construction
+    stores them."""
+    base = standard_simplex(n)
+    verts = base.vertices
+    ctor = Construction(n=n, base=base, amounts=[F(a) for a in amounts], center=centroid(verts))
+    for size in range(1, n + 2):
+        for A in map(frozenset, itertools.combinations(range(n + 1), size)):
+            ctor.copies[A] = _shrink_labeled({i: verts[i] for i in A}, ctor.amounts[n + 1 - size])
+    return ctor
+
+
+def test_explicit_schedule_rebuilds_the_construction():
+    for n in (1, 2):
+        ctor = build_construction(n)
+        again = with_amounts(n, ctor.amounts)
+        assert again.copies == ctor.copies
+        assert list(again.copies) == list(ctor.copies)
+        assert again.center == ctor.center
+
+
 def test_negative_control_equal_amounts_fails_nesting():
-    ctor = build_construction(2, amounts=[F(1, 2), F(1, 2), F(0)])
+    ctor = with_amounts(2, [F(1, 2), F(1, 2), F(0)])
     rep = verify_lemmas(ctor)
     assert not rep.ok
     assert any(c.name == "level-nesting" and not c.ok for c in rep.checks)
     # equal amounts on two levels also break the nesting of corners, nothing else
     assert {c.name for c in rep.checks if not c.ok} == {"corner-monotone", "level-nesting"}
+    # every pair of the triangle's edge copies, and each edge's two corners in it
+    edges = [(0, 1), (0, 2), (1, 2)]
+    assert [c.context for c in rep.checks if not c.ok] == (
+        [((0, 1, 2), i, j) for i, j in edges]
+        + [(e, (0, 1, 2), i) for e in edges for i in e])
 
 
 def test_negative_control_moved_copy_vertex_fails_slab_only():
@@ -202,6 +230,17 @@ def test_barycentric_closed_form_matches_solve():
         for _ in range(25):
             q = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
             assert _barycentric(q) == tuple(affine_coordinates(q, verts))
+
+
+def test_ground_point_supports_match_the_linear_solve():
+    # build_embedding reads each point's open face off the closed form
+    for n in (1, 2, 3):
+        _, ground, _ = build_ground_set(n)
+        simplex = standard_simplex(n)
+        for x in ground.points:
+            lam = _barycentric(x)
+            assert min(lam) >= 0
+            assert sum(1 << i for i, c in enumerate(lam) if c > 0) == face_support(x, simplex)
 
 
 def test_lemmas_reject_a_base_other_than_the_standard_simplex():

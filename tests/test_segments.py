@@ -1,12 +1,17 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from oracles import overlapping_pair, propagated_pieces
+from oracles import face_restriction_reference, overlapping_pair, propagated_pieces
+
+from relconvex import acceptance
 
 from relconvex.errors import InputError
 from relconvex.geometry import Segment, VPolytope, extreme_points, hull_member, qp
 from relconvex.intervals import Interval
+from relconvex.io import polytope_from_json, segment_ground_from_json
 from relconvex.segments import (
     SegmentUnionGround,
     SubsegmentSet,
@@ -336,6 +341,66 @@ def test_face_restriction_subsegment_sets():
     assert face_restriction_check(y, tri, edge)
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SEGMENT_FIXTURES = ["cevian_ground", "disjoint_segments", "three_lines_bounded", "triangle_edges"]
+
+
+def random_union(g, rng):
+    """A hand-built set: up to two random intervals per carrier, canonicalised
+    by their hull traces."""
+    rows = []
+    for _ in range(g.k):
+        row = []
+        for _ in range(rng.randint(0, 2)):
+            a, b = sorted(F(rng.randint(0, 4), 4) for _ in range(2))
+            row.append(Interval(a, b, a == b or rng.random() < 0.5, a == b or rng.random() < 0.5))
+        rows.append(row)
+    return SubsegmentSet(g, rows)
+
+
+@pytest.mark.parametrize("name", SEGMENT_FIXTURES)
+def test_face_restriction_identity_matches_the_per_carrier_oracle(name):
+    g = segment_ground_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    tri = polytope_from_json(json.loads((FIXTURES / "triangle.json").read_text()))
+    faces = [f for f in tri.faces() if f.is_proper]
+    assert len(faces) == 6
+    rng = random.Random(name)
+    sets = [SubsegmentSet.empty(g)] + [random_closed_set(g, rng) for _ in range(4)] \
+        + [random_union(g, rng) for _ in range(4)]
+    verdicts = set()
+    for y in sets:
+        for face in faces:
+            ok = face_restriction_check(y, tri, face)
+            assert ok == face_restriction_reference(y, face.vertices), (y, face.vertices)
+            verdicts.add(ok)
+    assert True in verdicts
+
+
+def test_criterion_8_reports_match_the_oracles(monkeypatch):
+    # every Y and ground of the acceptance suite, through the production
+    # checks: a subsegment Y agrees with the per-carrier oracle, and every
+    # trace report has all four properties and no other key
+    reports, restrictions = [], []
+
+    def hom(*args):
+        reports.append(face_hom_check(*args))
+        return reports[-1]
+
+    def restriction(y, poly, face):
+        ok = face_restriction_check(y, poly, face)
+        if isinstance(y, SubsegmentSet):
+            assert ok == face_restriction_reference(y, face.vertices)
+            restrictions.append(ok)
+        return ok
+
+    monkeypatch.setattr(acceptance, "face_hom_check", hom)
+    monkeypatch.setattr(acceptance, "face_restriction_check", restriction)
+    assert acceptance.criterion_8_face_restriction_suite()[0]
+    assert len(reports) == 20 and len(restrictions) == 15
+    assert all(rep == {"trace_closed": True, "joins": True, "meets": True, "surjective": True}
+               for rep in reports)
+
+
 def test_face_hom_check_small_grounds():
     tri, edge = triangle_and_edge()
     rng = random.Random(29)
@@ -352,7 +417,7 @@ def test_face_hom_check_small_grounds():
     # joined with {(0,0)} holds (1,1), the join of the traces does not
     chord = (qp(0, 0), qp(2, 2))
     rep = face_hom_check([qp(0, 0), qp(4, 0), qp(0, 4), qp(1, 1)], tri, chord)
-    assert rep["trace_closed"] and rep["meets"] and not rep["joins"], rep
+    assert rep == {"trace_closed": True, "joins": False, "meets": True, "surjective": True}
 
 
 def test_ground_validation():
