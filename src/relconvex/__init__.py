@@ -46,7 +46,6 @@ from .geometry import (
     Point,
     Segment,
     VPolytope,
-    affine_span_dim,
     extreme_points,
     hull_member,
     qp,

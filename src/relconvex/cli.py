@@ -135,6 +135,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.format == "svg" and args.n == 1:    # the one non-planar n that build_embedding finishes
+        raise InputError("SVG output needs a planar configuration (n = 2)")
     w = build_embedding(args.n, allow_large=args.allow_large)
     ground_doc = rio.ground_to_json(w.ground)
     ground_doc["labels"] = [str(lab) for lab in w.labels]
@@ -163,8 +165,6 @@ def cmd_embed(args) -> int:
     if args.format == "dot":
         _write(args, f"embed_target_n{args.n}.dot", rio.lattice_to_dot(w.target))
     if args.format == "svg":
-        if w.ground.dim != 2:
-            raise InputError("SVG output needs a planar configuration (n = 2)")
         _write(args, f"embed_points_n{args.n}.svg",
                rio.points_svg(w.ground.points, [str(lab) for lab in w.labels]))
     return EXIT_OK if w.verified else EXIT_VIOLATION

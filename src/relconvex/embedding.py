@@ -10,9 +10,12 @@ found by a deterministic halving search so that exact containment
 certificates hold at every level.  The ground set X consists of the center
 of the base simplex plus the vertices of all proper-face copies.
 
-All certificates (the slab argument, the nesting of corner polytopes, the
-strict containments behind the schedule search) are checked exactly at the
-constructed parameters and reported tuple by tuple.
+The lemma certificates (the slab argument, the nesting of corner polytopes,
+the strict two-face containment behind the schedule search) are checked
+exactly at the constructed parameters and reported tuple by tuple.  The
+search's other condition, that each vertex of a next-level copy lies in the
+corner polytope of its label and is none of its excluded corner points, is
+decided by the search only and not certified again.
 """
 
 from __future__ import annotations
@@ -233,6 +236,11 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
     level-nesting(A, i, j): the strict two-face containment tying level k
         to level k+1.
     corner-monotone(A, B, i): U(A, i) inside U(B, i) for A inside B.
+
+    Not certified: the corner containment of the schedule search (each
+    vertex of S_{A-i} at the next amount in U(A, m) of its label m, off the
+    excluded corner points).  For n = 3 with amounts[1] raised to 1/4, a
+    value the search rejects, every lemma above still holds.
     """
     rep = LemmaReport()
     n = ctor.n

@@ -1,11 +1,13 @@
 """Exact rational convex geometry.
 
 Points are tuples of ``Fraction``; every predicate below is decided exactly,
-either by direct linear algebra or by the exact simplex solver in
-:mod:`relconvex.lp`.  Openness (a segment missing an endpoint, the relative
-interior of a face) is handled by strict linear programming: all strict
-inequalities share one slack variable which is then maximized, so strict
-feasibility is equivalent to a positive optimum.
+either by the exact simplex solver in :mod:`relconvex.lp` or by linear
+algebra, where each affine question (the dimension of a polytope, a facet
+normal, the coordinates of a Carathéodory candidate) is answered by the
+pivots of one :func:`relconvex.linalg.rref`.  Openness (a segment missing an
+endpoint, the relative interior of a face) is handled by strict linear
+programming: all strict inequalities share one slack variable which is then
+maximized, so strict feasibility is equivalent to a positive optimum.
 """
 
 from __future__ import annotations
@@ -133,41 +135,12 @@ def hull_member(q: Point, pts: Sequence[Point]) -> bool:
     return _combo_lp([[(p, False) for p in pts]], q, "strict")
 
 
-def affine_coordinates(q: Point, pts: Sequence[Point]):
-    """Affine combination q = sum(l_i * p_i), sum(l_i) = 1, or None.
-
-    Free variables of an underdetermined system are set to zero; for an
-    affinely independent family the coordinates are unique.
-    """
-    dim = _check_dim(pts)
-    if len(q) != dim:
-        raise DimensionMismatch("query point dimension mismatch")
-    A = [[p[k] for p in pts] for k in range(dim)]
-    A.append([Fraction(1)] * len(pts))
-    rhs = list(q) + [Fraction(1)]
-    sol = linalg.solve(A, rhs)
-    if sol is None:
-        return None
-    return sol[0]
-
-
-def affine_span_dim(pts: Sequence[Point]) -> int:
-    """Dimension of the affine hull, by exact rank computation."""
-    if not pts:
-        raise InputError("affine span of empty set")
-    _check_dim(pts)
-    diffs = [sub(p, pts[0]) for p in pts[1:]]
-    if not diffs:
-        return 0
-    return linalg.rank(diffs)
-
-
 def caratheodory_witness(q: Point, pts: Sequence[Point]):
     """Hull membership by brute force over affinely independent subsets.
 
     Independent of the LP route: enumerates candidate simplices of at most
-    dim+1 generators and solves barycentric coordinates directly.  Returns
-    the first containing (subset, coords), or None.
+    dim+1 generators and reads barycentric coordinates off one elimination
+    each.  Returns the first containing (subset, coords), or None.
     """
     if not pts:
         return None
@@ -177,10 +150,14 @@ def caratheodory_witness(q: Point, pts: Sequence[Point]):
     uniq = sorted(set(pts))
     for size in range(1, dim + 2):
         for subset in itertools.combinations(uniq, size):
-            if affine_span_dim(subset) != size - 1:
+            # Columns (p, 1) then (q, 1): the subset is affinely independent
+            # iff its columns are the pivots, q lies in its affine hull iff
+            # q's column is none, and that column then holds q's coordinates.
+            red, pivots = linalg.rref(list(zip(*((*p, 1) for p in subset), (*q, 1))))
+            if pivots != list(range(size)):
                 continue
-            coords = affine_coordinates(q, subset)
-            if coords is not None and all(c >= 0 for c in coords):
+            coords = [row[size] for row in red[:size]]
+            if all(c >= 0 for c in coords):
                 return subset, coords
     return None
 
@@ -322,7 +299,10 @@ class VPolytope:
             uniq = extreme_points(uniq)
         self.vertices: tuple[Point, ...] = tuple(uniq)
         self.dim_ambient = len(uniq[0])
-        self.dim_affine = affine_span_dim(self.vertices)
+        # the pivots of the edges from the first vertex chart its affine hull
+        edges = [sub(p, uniq[0]) for p in uniq[1:]]
+        self._chart = linalg.rref(edges)[1] if edges else []
+        self.dim_affine = len(self._chart)
         self._faces: Optional[list["Face"]] = None
 
     def __eq__(self, other):
@@ -334,31 +314,32 @@ class VPolytope:
     def __repr__(self):
         return f"VPolytope({len(self.vertices)} vertices, dim {self.dim_affine}/{self.dim_ambient})"
 
-    def _affine_chart(self):
-        """Coordinates of every vertex in the RREF basis of the affine hull.
-
-        A basis row is 1 at its own pivot column and 0 at the others, so a
-        vector of the span has its coordinates at the pivot columns.
-        """
-        v0 = self.vertices[0]
-        _, pivots = linalg.rref([sub(p, v0) for p in self.vertices[1:]])
-        return [tuple(p[k] - v0[k] for k in pivots) for p in self.vertices]
-
     def facets(self) -> list[frozenset[int]]:
-        """Vertex index sets of the (dim_affine - 1)-dimensional faces."""
+        """Vertex index sets of the (dim_affine - 1)-dimensional faces.
+
+        Each vertex gets coordinates in the RREF basis of the affine hull: a
+        basis row is 1 at its own pivot column and 0 at the others, so a
+        vector of the span has its coordinates at the pivot columns.  A
+        candidate normal spans the null space of d - 1 differences, which is
+        a line exactly when they have d - 1 pivots.
+        """
         d = self.dim_affine
         if d == 0:
             return []
-        coords = self._affine_chart()
+        v0 = self.vertices[0]
+        coords = [tuple(p[k] - v0[k] for k in self._chart) for p in self.vertices]
         m = len(coords)
         found: set[frozenset[int]] = set()
         for subset in itertools.combinations(range(m), d):
             base = coords[subset[0]]
             diffs = [sub(coords[i], base) for i in subset[1:]]
-            ns = linalg.nullspace(diffs) if diffs else [[Fraction(1)]]
-            if len(ns) != 1:
+            red, pivots = linalg.rref(diffs) if diffs else ([], [])
+            if len(pivots) != d - 1:
                 continue
-            w = ns[0]
+            free = next(c for c in range(d) if c not in pivots)
+            w = [Fraction(int(c == free)) for c in range(d)]
+            for row, c in zip(red, pivots):
+                w[c] = -row[free]
             offs = sum(wi * xi for wi, xi in zip(w, base))
             vals = [sum(wi * xi for wi, xi in zip(w, c)) - offs for c in coords]
             if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):

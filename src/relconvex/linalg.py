@@ -2,9 +2,10 @@
 
 All elimination runs fraction-free on Python ``int`` in one step,
 :func:`bareiss_step` (Bareiss's integer-preserving pivot), which both
-:func:`rref_int` and the simplex in :mod:`relconvex.lp` apply.  The rational
-API below clears denominators row by row, which leaves the reduced row
-echelon form unchanged, and builds ``Fraction`` values only on the way out.
+:func:`rref_int` and the simplex in :mod:`relconvex.lp` apply.  :func:`rref`
+clears denominators row by row, which leaves the reduced row echelon form
+unchanged, and builds ``Fraction`` values only on the way out; rank,
+solutions and null vectors are read off its pivots by the callers.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
-
-Vector = tuple[Fraction, ...]
 
 
 def bareiss_step(rows: list[list[int]], r: int, c: int, d: int) -> int:
@@ -72,41 +71,3 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], li
     rows, pivots, det = rref_int(scaled)
     return [[Fraction(v, det) for v in row] for row in rows], pivots
 
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(matrix)[1])
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve M x = rhs exactly.
-
-    Returns (particular, nullspace_basis) or None when inconsistent.  The
-    particular solution sets all free variables to zero.
-    """
-    if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    part = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        part[c] = red[i][-1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -red[i][f]
-        basis.append(vec)
-    return part, basis
-
-
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    if not matrix:
-        return []
-    sol = solve(matrix, [Fraction(0)] * len(matrix))
-    assert sol is not None
-    return sol[1]

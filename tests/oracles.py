@@ -31,7 +31,6 @@ from relconvex.geometry import (
     Point,
     Segment,
     VPolytope,
-    affine_coordinates,
     interpolate,
     segment_hull_param_intervals,
     sub,
@@ -302,6 +301,60 @@ def rref_reference(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Frac
     return rows, pivots
 
 
+def solve_reference(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve M x = rhs by ``rref_reference``: (particular, nullspace basis),
+    or None when inconsistent.  The particular solution is zero on the free
+    columns, and each basis vector is 1 on its own free column and 0 on the
+    others."""
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    red, pivots = rref_reference([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    part = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        part[c] = red[i][-1]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -red[i][f]
+        basis.append(vec)
+    return part, basis
+
+
+def affine_coordinates(q: Point, pts: Sequence[Point]):
+    """Affine combination q = sum(l_i * p_i), sum(l_i) = 1, by
+    ``solve_reference`` (free coordinates zero), or None."""
+    rows = [[p[k] for p in pts] for k in range(len(q))] + [[Fraction(1)] * len(pts)]
+    sol = solve_reference(rows, list(q) + [Fraction(1)])
+    return None if sol is None else sol[0]
+
+
+def affine_span_dim(pts: Sequence[Point]) -> int:
+    """Dimension of the affine hull: the rank of the differences from the
+    first point, by ``rref_reference``."""
+    return len(rref_reference([sub(p, pts[0]) for p in pts[1:]])[1])
+
+
+def caratheodory_reference(q: Point, pts: Sequence[Point]):
+    """``caratheodory_witness``'s search in two reference steps per subset:
+    its affine independence by ``rref_reference``, then q's coordinates by
+    ``solve_reference``.  The first (subset, coords) with nonnegative
+    coordinates, or None."""
+    uniq = sorted(set(pts))
+    for size in range(1, len(q) + 2):
+        for subset in itertools.combinations(uniq, size):
+            if affine_span_dim(subset) != size - 1:
+                continue
+            coords = affine_coordinates(q, subset)
+            if coords is not None and all(c >= 0 for c in coords):
+                return subset, coords
+    return None
+
+
 # ---------------------------------------------------------------------------
 # carrier-overlap algebra: the canonical form of a subsegment set computed by
 # mapping pieces between carriers through their parametric overlaps
@@ -323,7 +376,7 @@ def _carrier_overlap(si: Segment, sj: Segment) -> Optional[_Overlap]:
     n = len(di)
     rows = [[di[k], -dj[k]] for k in range(n)]
     rhs = [sj.a[k] - si.a[k] for k in range(n)]
-    sol = linalg.solve(rows, rhs)
+    sol = solve_reference(rows, rhs)
     if sol is None:
         return None
     part, null = sol
@@ -335,7 +388,7 @@ def _carrier_overlap(si: Segment, sj: Segment) -> Optional[_Overlap]:
     # collinear supports: express sj's endpoints in si parameters
     def param_on_i(x: Point) -> Optional[Fraction]:
         cols = [[di[k]] for k in range(n)]
-        s = linalg.solve(cols, [x[k] - si.a[k] for k in range(n)])
+        s = solve_reference(cols, [x[k] - si.a[k] for k in range(n)])
         return None if s is None else s[0][0]
 
     ta = param_on_i(sj.a)
@@ -516,7 +569,7 @@ def p_point_reference(base: VPolytope, i: int, A: frozenset, j: int, ratio: Frac
         rhs.append(pi[k])
     rows.append([Fraction(1)] * len(hull_pts) + [Fraction(0)])
     rhs.append(Fraction(1))
-    sol = linalg.solve(rows, rhs)
+    sol = solve_reference(rows, rhs)
     if sol is None:
         raise ConstructionError(f"edge [{i},{j}] misses the shrunken hull of {sorted(A)}")
     part, null = sol

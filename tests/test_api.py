@@ -1,17 +1,21 @@
-"""Every name that ``relconvex`` exports has a caller outside the tests: in
-another package module, in its own module outside its definition, in a demo,
-in ``perfbench/workloads.py`` or ``perfbench/run.py``, or in a python block
-of README.md.  Imports, strings, docstrings and comments do not count as
+"""Every public module-level name of ``relconvex`` (each name it exports, and
+each public function, class and constant that a package module defines at
+module level) has a caller outside the tests: in another package module, in
+its own module outside its definition, in a demo, in
+``perfbench/workloads.py`` or ``perfbench/run.py``, or in a python block of
+README.md.  Imports, strings, docstrings and comments do not count as
 callers."""
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relconvex"
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
 
 
 def _exported_names() -> list[str]:
@@ -20,44 +24,67 @@ def _exported_names() -> list[str]:
                   if isinstance(node, ast.ImportFrom) for alias in node.names)
 
 
-def _definition(tree: ast.Module, name: str):
-    """The top-level statement of the module that defines name, or None."""
+def _definitions(tree: ast.Module) -> dict[str, tuple[int, int]]:
+    """The line span of each top-level statement that defines a name."""
+    out = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return node
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
-            return node
-    return None
-
-
-def _uses(tree: ast.Module, name: str, skip=None) -> bool:
-    """name is read as a variable or an attribute somewhere in tree, outside
-    the lines of the statement skip."""
-    lo, hi = (skip.lineno, skip.end_lineno) if skip is not None else (0, -1)
-    return any((isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name)
-               and not lo <= node.lineno <= hi
-               for node in ast.walk(tree))
-
-
-def _callers() -> list[tuple[str, ast.Module]]:
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py"))
-    files += [ROOT / "perfbench" / "workloads.py", ROOT / "perfbench" / "run.py"]
-    out = [(str(p.relative_to(ROOT)), ast.parse(p.read_text())) for p in files if p.is_file()]
-    readme = (ROOT / "README.md").read_text()
-    out += [(f"README.md block {k}", ast.parse(block)) for k, block in
-            enumerate(re.findall(r"```python\n(.*?)```", readme, re.S))]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        for name in names:
+            out[name] = (node.lineno, node.end_lineno)
     return out
+
+
+def _reads(tree: ast.Module) -> dict[str, list[int]]:
+    """The lines where each name is read as a variable or an attribute."""
+    out = defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id].append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            out[node.attr].append(node.lineno)
+    return out
+
+
+def _callers() -> list[tuple[str, dict, dict]]:
+    """(where, reads, definitions) of every file that may hold a caller."""
+    files = MODULES + sorted((ROOT / "demos").glob("*.py"))
+    files += [ROOT / "perfbench" / "workloads.py", ROOT / "perfbench" / "run.py"]
+    trees = [(str(p.relative_to(ROOT)), ast.parse(p.read_text())) for p in files if p.is_file()]
+    readme = (ROOT / "README.md").read_text()
+    trees += [(f"README.md block {k}", ast.parse(block)) for k, block in
+              enumerate(re.findall(r"```python\n(.*?)```", readme, re.S))]
+    return [(where, _reads(tree), _definitions(tree)) for where, tree in trees]
 
 
 CALLERS = _callers()
 
 
+def _public_module_names() -> list[str]:
+    return [f"{path.stem}.{name}" for path in MODULES
+            for name in _definitions(ast.parse(path.read_text()))
+            if not name.startswith("_")]
+
+
+def _callers_of(name: str) -> list[str]:
+    """Files that read name outside the statement defining it there."""
+    found = []
+    for where, reads, defs in CALLERS:
+        lo, hi = defs.get(name, (0, -1))
+        if any(not lo <= line <= hi for line in reads.get(name, ())):
+            found.append(where)
+    return found
+
+
 @pytest.mark.parametrize("name", _exported_names())
 def test_exported_name_has_a_caller_outside_tests(name):
-    found = [where for where, tree in CALLERS
-             if _uses(tree, name, skip=_definition(tree, name))]
-    assert found, f"relconvex.{name} is called only from tests"
+    assert _callers_of(name), f"relconvex.{name} is called only from tests"
+
+
+@pytest.mark.parametrize("qualified", _public_module_names())
+def test_public_module_name_has_a_caller_outside_tests(qualified):
+    assert _callers_of(qualified.split(".")[1]), f"relconvex.{qualified} is called only from tests"

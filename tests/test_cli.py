@@ -135,6 +135,18 @@ def test_embed_n_below_1_exit_1(tmp_path, capsys, n):
     assert not list(tmp_path.iterdir())
 
 
+def test_embed_n1_svg_exit_1_before_any_artifact(tmp_path, capsys):
+    # the n = 1 ground lies on a line: refused before the construction runs
+    for argv in (["--out-dir", str(tmp_path)], []):
+        code = main(argv + ["embed", "--n", "1", "--format", "svg"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "input", "reason": "SVG output needs a planar configuration (n = 2)"}
+    assert not list(tmp_path.iterdir())
+
+
 def test_embed_n2_reports_dependency_cycle(tmp_path, capsys):
     code, _ = run(capsys, "--out-dir", tmp_path, "embed", "--n", "2", "--format", "svg")
     assert code == 3

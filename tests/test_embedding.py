@@ -19,14 +19,12 @@ from relconvex.embedding import (
 from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import (
     VPolytope,
-    affine_coordinates,
-    affine_span_dim,
     centroid,
     qp,
     standard_simplex,
 )
 
-from oracles import face_support, p_point_reference
+from oracles import affine_coordinates, affine_span_dim, face_support, p_point_reference
 from test_analysis import agrees_with_oracle, mutations
 
 

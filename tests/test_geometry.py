@@ -10,7 +10,6 @@ from relconvex.geometry import (
     MixedGenerators,
     Segment,
     VPolytope,
-    affine_span_dim,
     caratheodory_witness,
     extreme_points,
     hull_member,
@@ -21,7 +20,7 @@ from relconvex.geometry import (
 )
 from relconvex.intervals import Interval
 
-from oracles import supports_face
+from oracles import affine_span_dim, caratheodory_reference, supports_face
 
 TRIANGLE = [qp(0, 0), qp(1, 0), qp(0, 1)]
 
@@ -90,9 +89,31 @@ def test_extreme_points_hull_preserved():
 
 
 def test_affine_span_dim():
-    assert affine_span_dim([qp(1, 2)]) == 0
-    assert affine_span_dim([qp(0, 0), qp(1, 1)]) == 1
-    assert affine_span_dim(TRIANGLE) == 2
+    for pts, d in [([qp(1, 2)], 0), ([qp(0, 0), qp(1, 1)], 1), (TRIANGLE, 2),
+                   ([qp(0, 0, 0), qp(1, 1, 1), qp(2, 2, 2)], 1)]:
+        assert VPolytope(pts).dim_affine == affine_span_dim(pts) == d
+
+
+def test_caratheodory_witness_matches_two_step_oracle():
+    # points drawn with repeats from a random flat of each dimension k <= m,
+    # so subsets are often collinear or coplanar; q in the flat or off it
+    rng = random.Random(29)
+    members = 0
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        k = rng.randint(0, m)
+        flat = flat_points(rng, k, m)
+        pts = [rng.choice(flat) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            q = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m))
+        else:
+            weights = [F(rng.randint(-1, 4)) for _ in flat]
+            total = sum(weights) or F(1)
+            q = g.combination([w / total for w in weights], flat)
+        got = caratheodory_witness(q, pts)
+        assert got == caratheodory_reference(q, pts), (q, pts)
+        members += got is not None
+    assert 100 < members < 300
 
 
 def test_segment_rejects_degenerate():
@@ -178,6 +199,7 @@ def test_faces_square():
 
 
 def assert_faces_match_oracle(poly: VPolytope):
+    assert poly.dim_affine == affine_span_dim(poly.vertices)
     face_sets = {f.indices for f in poly.faces()}
     n = len(poly.vertices)
     for r in range(1, n + 1):
@@ -191,6 +213,12 @@ def test_faces_match_supporting_functional_oracle():
                  VPolytope([qp(0, 0), qp(2, 0), qp(2, 2), qp(0, 2)]),
                  standard_simplex(3)]:
         assert_faces_match_oracle(poly)
+    rng = random.Random(7)
+    for m in range(1, 5):
+        for _ in range(3):
+            poly = VPolytope(flat_points(rng, m, m))
+            assert poly.dim_affine == m
+            assert_faces_match_oracle(poly)
 
 
 def flat_points(rng: random.Random, k: int, m: int) -> list:
@@ -222,8 +250,8 @@ def test_faces_of_lower_dimensional_polytopes_match_oracle():
         assert_faces_match_oracle(poly)
     rng = random.Random(11)
     for m in range(2, 5):
-        for k in range(1, m):
-            for _ in range(2):
+        for k in range(m):
+            for _ in range(3):
                 poly = VPolytope(flat_points(rng, k, m))
                 assert (poly.dim_affine, poly.dim_ambient) == (k, m)
                 assert_faces_match_oracle(poly)
