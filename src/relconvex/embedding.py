@@ -11,11 +11,9 @@ certificates hold at every level.  The ground set X consists of the center
 of the base simplex plus the vertices of all proper-face copies.
 
 The lemma certificates (the slab argument, the nesting of corner polytopes,
-the strict two-face containment behind the schedule search) are checked
-exactly at the constructed parameters and reported tuple by tuple.  The
-search's other condition, that each vertex of a next-level copy lies in the
-corner polytope of its label and is none of its excluded corner points, is
-decided by the search only and not certified again.
+both conditions of the schedule search: the strict two-face containment and
+the corner containment of each next-level copy) are checked exactly at the
+constructed parameters and reported tuple by tuple.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .analysis import Witness, check_lower_bounded, map_defects
@@ -40,6 +39,7 @@ from .geometry import (
     strict_hull_member,
 )
 from .lattice import FiniteLattice
+from .linalg import rref_int
 
 EPSILON_SEARCH_BUDGET = 64
 
@@ -220,6 +220,46 @@ def _barycentric(q: Point) -> Point:
     return (1 - sum(q),) + q
 
 
+def _int_barycentric(q: Point) -> list[int]:
+    """_barycentric(q) times the lcm of its denominators, a positive integer."""
+    lam = _barycentric(q)
+    m = lcm(*(c.denominator for c in lam))
+    return [c.numerator * (m // c.denominator) for c in lam]
+
+
+def _relint_verdicts(qs, ws, cols: dict) -> Optional[list[bool]]:
+    """Whether each w of ws lies in the relative interior of hull(qs), or
+    None when qs is affinely dependent.
+
+    cols maps every point to its _int_barycentric column.  One elimination
+    of the columns of qs, then one column per w: lambda maps affine
+    independence to linear independence (its image, sum = 1, misses the
+    origin), so qs is affinely independent iff its columns are the first
+    pivots.  w then lies in aff(qs) iff its column is zero from row |qs| on,
+    and its coordinates over qs are red[r][col] / det, each times a positive
+    factor from the scaling; w is in the relative interior iff all are
+    positive.  Sum one follows from sum(lambda) = 1.
+    """
+    size = len(qs)
+    red, pivots, det = rref_int(zip(*(cols[p] for p in (*qs, *ws))))
+    if pivots[:size] != list(range(size)):
+        return None
+    return [all(red[r][col] == 0 for r in range(size, len(red)))
+            and all(red[r][col] * det > 0 for r in range(size))
+            for col in range(size, size + len(ws))]
+
+
+def _corner_samples(u: VPolytope, excluded: set) -> list[Point]:
+    """The vertices of the corner polytope u other than the excluded points,
+    then the midpoint of each edge of u."""
+    cands = [v for v in u.vertices if v not in excluded]
+    for fc in u.faces():
+        if len(fc.indices) == 2:
+            a, b = fc.vertices
+            cands.append(interpolate(a, b, Fraction(1, 2)))
+    return cands
+
+
 def verify_lemmas(ctor: Construction) -> LemmaReport:
     """Exact certificates for the structural facts the embedding rests on.
 
@@ -232,15 +272,14 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
         T(A, j) exactly in the corner point p(i, A, j).
     interior-span(A): for sampled corner choices q_i (vertex or edge
         midpoints of U(A, i), excluded points removed), the shrunken copy
-        P_A is strictly inside the relative interior of their hull.
-    level-nesting(A, i, j): the strict two-face containment tying level k
-        to level k+1.
+        P_A is strictly inside the relative interior of their hull.  One
+        elimination per tuple decides every vertex of P_A; a tuple that is
+        affinely dependent is decided by the strict LP instead.
+    level-nesting(A, i, j): the two conditions of the schedule search that
+        tie level k to level k+1: each vertex of the copies of A - i and
+        A - j lies in U(A, m) of its label m and is none of the excluded
+        corner points p(m, A, .), and the strict two-face containment.
     corner-monotone(A, B, i): U(A, i) inside U(B, i) for A inside B.
-
-    Not certified: the corner containment of the schedule search (each
-    vertex of S_{A-i} at the next amount in U(A, m) of its label m, off the
-    excluded corner points).  For n = 3 with amounts[1] raised to 1/4, a
-    value the search rejects, every lemma above still holds.
     """
     rep = LemmaReport()
     n = ctor.n
@@ -288,29 +327,34 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
                 ok = is_face and hits == [p_pts[(i, j)]]
                 rep.add("prism-face-pinch", (tuple(sorted(A)), i, j), ok)
 
-        choices = {}
-        for i in sorted(A):
-            u = corners[A, i]
-            excluded = {p_pts[(i, j)] for j in A - {i}}
-            cands = [v for v in u.vertices if v not in excluded]
-            for fc in u.faces():
-                if len(fc.indices) == 2:
-                    a, b = fc.vertices
-                    cands.append(interpolate(a, b, Fraction(1, 2)))
-            choices[i] = cands
-        tuples = list(itertools.product(*(choices[i] for i in sorted(A))))
-        ok = all(all(strict_hull_member(w, gens) for w in copy.values())
-                 for gens in (MixedGenerators(open_faces=(qs,)) for qs in tuples))
+        excluded = {i: {p_pts[(i, j)] for j in A - {i}} for i in A}
+        choices = [_corner_samples(corners[A, i], excluded[i]) for i in sorted(A)]
+        tuples = list(itertools.product(*choices))
+        ws = list(copy.values())
+        cols = {p: _int_barycentric(p) for p in (*itertools.chain(*choices), *ws)}
+        ok = True
+        for qs in tuples:
+            verdicts = _relint_verdicts(qs, ws, cols)
+            if verdicts is None:        # affinely dependent: the strict LP decides
+                gens = MixedGenerators(open_faces=(qs,))
+                verdicts = (strict_hull_member(w, gens) for w in ws)
+            if not all(verdicts):
+                ok = False
+                break
         rep.add("interior-span", (tuple(sorted(A)),), ok,
                 f"{len(tuples)} corner samples")
 
         if len(A) >= 3:
             next_amount = ctor.amounts[n + 2 - len(A)]
+            in_corners = {i: all(q not in excluded[m] and hull_member(q, corners[A, m].vertices)
+                                 for m, q in ctor.copies[A - {i}].items())
+                          for i in A}
             for i, j in itertools.combinations(sorted(A), 2):
                 ci = ctor.copies[A - {i}]
                 cj = ctor.copies[A - {j}]
                 expected_i = _shrink_labeled({m: verts[m] for m in A - {i}}, next_amount)
-                ok = ci == expected_i and _nested(copy, ci, cj)
+                ok = (ci == expected_i and in_corners[i] and in_corners[j]
+                      and _nested(copy, ci, cj))
                 rep.add("level-nesting", (tuple(sorted(A)), i, j), ok)
 
     for A, B in itertools.product(subsets, repeat=2):

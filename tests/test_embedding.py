@@ -5,23 +5,31 @@ from fractions import Fraction as F
 import pytest
 
 from relconvex.analysis import d_relation
+from relconvex import embedding
 from relconvex.embedding import (
     Construction,
     _barycentric,
+    _corner_samples,
+    _eps_ok,
+    _int_barycentric,
+    _relint_verdicts,
     build_construction,
     build_embedding,
     build_ground_set,
     epsilon_search,
     _shrink_labeled,
     p_point,
+    u_polytope,
     verify_lemmas,
 )
 from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import (
+    MixedGenerators,
     VPolytope,
     centroid,
     qp,
     standard_simplex,
+    strict_hull_member,
 )
 
 from oracles import affine_coordinates, affine_span_dim, face_support, p_point_reference
@@ -219,6 +227,197 @@ def test_negative_control_moved_copy_vertex_fails_slab_only():
     copy = ctor.copies[frozenset({0, 1, 2})]
     copy[0] = tuple(c + F(1, 1000) for c in copy[0])
     assert {c.name for c in verify_lemmas(ctor).checks if not c.ok} == {"slab"}
+
+
+def failed_checks(ctor: Construction) -> list[tuple]:
+    return [(c.name, c.context) for c in verify_lemmas(ctor).checks if not c.ok]
+
+
+def test_negative_control_edge_copy_vertex_off_its_line_fails_interior_span_only():
+    # one endpoint of the copy of edge {0, 1} lifted off the edge: it leaves
+    # the affine hull of every corner tuple of that edge; the edge's slab
+    # checks still hold (its lambda_1 is unchanged and its lambda_0 stays
+    # above the level of lambda_0), and it stays in its corner of the
+    # triangle
+    ctor = build_construction(2)
+    copy = ctor.copies[frozenset({0, 1})]
+    copy[0] = (copy[0][0], F(1, 1000))
+    assert failed_checks(ctor) == [("interior-span", ((0, 1),))]
+
+
+def test_negative_control_edge_copy_vertex_past_a_corner_sample():
+    # the same endpoint moved along the edge toward vertex 0, past the
+    # midpoint sample of its corner segment: it is outside the open segment
+    # of that sample and the other corner, and off its slab level
+    ctor = build_construction(2)
+    copy = ctor.copies[frozenset({0, 1})]
+    copy[0] = (copy[0][0] / 4, copy[0][1])
+    assert failed_checks(ctor) == [("slab", ((0, 1), 1)), ("interior-span", ((0, 1),))]
+
+
+def test_lemma_summary_n3():
+    rep = verify_lemmas(build_construction(3))
+    counts = {"slab": 28, "corner-in-prisms": 28, "prism-face-pinch": 48,
+              "interior-span": 11, "level-nesting": 18, "corner-monotone": 76}
+    assert rep.summary() == {name: {"checked": k, "failed": 0} for name, k in counts.items()}
+
+
+def test_level_nesting_certifies_the_corner_containment_of_the_search():
+    # amounts[1] raised to values the schedule search rejects for n = 3: each
+    # vertex of a triangle copy leaves the corner polytope of its label, so
+    # every pair of the tetrahedron's triangle copies fails level-nesting,
+    # while the two-face containment and every other lemma still hold
+    built = build_construction(3).amounts
+    base = standard_simplex(3)
+    for amount in (F(13, 64), F(7, 32), F(15, 64), F(1, 4), F(9, 32), F(5, 16), F(11, 32)):
+        assert not _eps_ok(base, 3, 4, built[0], amount)
+        failed = failed_checks(with_amounts(3, [built[0], amount, built[2], 0]))
+        assert {name for name, _ in failed} == {"level-nesting"}, amount
+        if amount == F(1, 4):
+            assert failed == [("level-nesting", ((0, 1, 2, 3), i, j))
+                              for i, j in itertools.combinations(range(4), 2)]
+
+
+def test_level_nesting_checks_each_copy_against_the_corners():
+    # the copy of edge {0, 1} is A - j for the last j of the triangle A, so
+    # only level-nesting's corner test on A - j sees it; in both cases the
+    # two-face containment still holds
+    ctor = build_construction(2)
+    triangle = frozenset({0, 1, 2})
+    copy = ctor.copies[frozenset({0, 1})]
+    # vertex 0 moved onto the excluded corner point p(0, A, 1)
+    copy[0] = p_point(ctor.base, 0, triangle, 1, 1 - ctor.amounts[0])
+    assert failed_checks(ctor) == [("slab", ((0, 1), 1)), ("level-nesting", ((0, 1, 2), 0, 2)),
+                                   ("level-nesting", ((0, 1, 2), 1, 2))]
+    # vertex 0 lifted off the edge and out of the corner polytope U(A, 0)
+    ctor = build_construction(2)
+    copy = ctor.copies[frozenset({0, 1})]
+    copy[0] = (copy[0][0], F(1, 16))
+    assert failed_checks(ctor) == [("interior-span", ((0, 1),)),
+                                   ("level-nesting", ((0, 1, 2), 0, 2)),
+                                   ("level-nesting", ((0, 1, 2), 1, 2))]
+
+
+def test_level_nesting_agrees_with_the_schedule_search():
+    # on copies built from the schedule, the level-nesting checks of the faces
+    # on `size` vertices all hold iff the search accepts the next amount
+    rng = random.Random(21)
+    schedules = [[F(rng.randint(1, 15), 16), F(rng.randint(1, 31), 64), 0] for _ in range(12)]
+    schedules += [[F(1, 2), F(rng.randint(1, 47), 128), F(rng.randint(1, 31), 256), 0]
+                  for _ in range(3)]
+    # next amount 2/3 of the last: the copy of each edge {m, j} puts its
+    # vertex m on the excluded corner point p(m, A, j)
+    schedules += [[a, 2 * a / 3, 0] for a in (F(1, 2), F(3, 8), F(3, 4))]
+    accepted = set()
+    for amounts in schedules:
+        n = len(amounts) - 1
+        rep = verify_lemmas(with_amounts(n, amounts))
+        for size in range(3, n + 2):
+            level = n + 1 - size
+            ok = all(c.ok for c in rep.checks
+                     if c.name == "level-nesting" and len(c.context[0]) == size)
+            search = _eps_ok(standard_simplex(n), n, size, F(amounts[level]), amounts[level + 1])
+            assert ok == search, (amounts, size)
+            accepted.add(ok)
+    assert accepted == {True, False}
+
+
+def corner_tuples(ctor: Construction):
+    """(A, qs, vertices of P_A) for every corner tuple that interior-span(A)
+    samples, in its order."""
+    n, base = ctor.n, ctor.base
+    for size in range(2, n + 2):
+        ratio = 1 - ctor.amounts[n + 1 - size]
+        for A in map(frozenset, itertools.combinations(range(n + 1), size)):
+            choices = [_corner_samples(u_polytope(base, A, ratio, i),
+                                       {p_point(base, i, A, j, ratio) for j in A - {i}})
+                       for i in sorted(A)]
+            ws = list(ctor.copies[A].values())
+            for qs in itertools.product(*choices):
+                yield A, qs, ws
+
+
+def routes_agree(qs, ws) -> list[bool]:
+    """The elimination's verdicts on each w, checked against the strict LP
+    (and, for a dependent qs, the oracle's affine dimension)."""
+    verdicts = _relint_verdicts(qs, ws, {p: _int_barycentric(p) for p in (*qs, *ws)})
+    gens = MixedGenerators(open_faces=(qs,))
+    strict = [strict_hull_member(w, gens) for w in ws]
+    if verdicts is None:
+        assert affine_span_dim(qs) < len(qs) - 1, qs
+        return strict
+    assert affine_span_dim(qs) == len(qs) - 1, qs
+    assert verdicts == strict, (qs, ws)
+    return verdicts
+
+
+def test_interior_span_elimination_matches_strict_lp_on_the_constructions():
+    for n, stride, total in ((1, 1, 4), (2, 1, 76), (3, 29, 2681)):
+        cases = list(corner_tuples(build_construction(n)))
+        assert len(cases) == total
+        for _, qs, ws in cases[::stride]:
+            assert all(routes_agree(qs, ws))
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(6):
+        a0 = F(rng.randint(1, 15), 16)
+        ctor = with_amounts(2, [a0, a0 * F(rng.randint(1, 15), 16), 0])
+        for A, qs, ws in corner_tuples(ctor):
+            # lift one vertex of each copy off its face or along it, so that
+            # both verdicts occur
+            w = ws[0]
+            moved = [(w[0], w[1] + F(rng.randint(-3, 3), 64)), *ws[1:]]
+            seen.update(routes_agree(qs, moved))
+    assert seen == {True, False}
+
+
+def test_interior_span_elimination_on_hand_built_tuples():
+    tri = (qp(0, 0), qp(1, 0), qp(0, 1))
+    # a repeated point, and three collinear points in the 2-face: dependent
+    for qs in ((qp(0, 0), qp(0, 0), qp(1, 0)), (qp(0, 0), qp("1/2", 0), qp(1, 0))):
+        ws = [qp("1/4", 0)]
+        assert _relint_verdicts(qs, ws, {p: _int_barycentric(p) for p in (*qs, *ws)}) is None
+        assert routes_agree(qs, ws) == [True]
+    # w off the affine hull of an edge, and w inside it
+    assert routes_agree(tri[:2], [qp("1/2", "1/4"), qp("1/2", 0)]) == [False, True]
+    # w on the boundary of the triangle (a zero coordinate), then inside
+    assert routes_agree(tri, [qp("1/2", 0), qp(0, 0), qp("1/3", "1/3")]) == [False, False, True]
+    # w outside: a negative coordinate
+    assert routes_agree(tri, [qp(1, 1), qp("-1/8", "1/2")]) == [False, False]
+
+
+def test_interior_span_elimination_matches_strict_lp_on_random_tuples():
+    # points of the standard 3-simplex on a coarse grid, so repeated points,
+    # coplanar and collinear tuples, and targets on a boundary are common
+    rng = random.Random(2004)
+    grid = [F(k, 4) for k in range(5)]
+
+    def point():
+        while True:
+            q = tuple(rng.choice(grid) for _ in range(3))
+            if sum(q) <= 1:
+                return q
+
+    dependent, verdicts = set(), set()
+    for _ in range(300):
+        qs = tuple(point() for _ in range(rng.randint(2, 4)))
+        ws = [point() for _ in range(3)] + [centroid(list(qs))]
+        verdicts.update(routes_agree(qs, ws))
+        dependent.add(affine_span_dim(qs) < len(qs) - 1)
+    assert dependent == verdicts == {True, False}
+
+
+def test_interior_span_fallback_gives_the_same_reports(monkeypatch):
+    # with every tuple reported dependent, interior-span is decided by the
+    # strict LP alone, and every report stays the same
+    edge_off_line = build_construction(2)
+    copy = edge_off_line.copies[frozenset({0, 1})]
+    copy[0] = (copy[0][0], F(1, 1000))
+    ctors = [build_construction(1), build_construction(2), edge_off_line,
+             with_amounts(2, [F(1, 2), F(1, 2), F(0)])]
+    before = [verify_lemmas(c).checks for c in ctors]
+    monkeypatch.setattr(embedding, "_relint_verdicts", lambda qs, ws, cols: None)
+    assert [verify_lemmas(c).checks for c in ctors] == before
 
 
 def test_barycentric_closed_form_matches_solve():
