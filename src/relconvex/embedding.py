@@ -139,12 +139,8 @@ def _eps_ok(base: VPolytope, n: int, size: int, amount: Fraction, eps: Fraction)
         u_polys = {m: u_polytope(base, A, ratio, m) for m in A}
         excluded = {m: {p_point(base, m, A, j, ratio) for j in A - {m}} for m in A}
         copies = {i: _shrink_labeled({m: verts[m] for m in A - {i}}, eps) for i in A}
-        for i in A:
-            for m, q in copies[i].items():
-                if q in excluded[m]:
-                    return False
-                if not hull_member(q, u_polys[m].vertices):
-                    return False
+        if not all(_in_corners(copies[i], u_polys, excluded) for i in A):
+            return False
         if size >= 3:
             big = _shrink_labeled({i: verts[i] for i in A}, amount)
             if not all(_nested(big, copies[i], copies[j])
@@ -158,6 +154,14 @@ def _nested(copy: dict[int, Point], ci: dict[int, Point], cj: dict[int, Point]) 
     the two next-level copies ci and cj."""
     gens = MixedGenerators(open_faces=(tuple(ci.values()) + tuple(cj.values()),))
     return all(strict_hull_member(w, gens) for w in copy.values())
+
+
+def _in_corners(copy: dict[int, Point], corners: dict[int, VPolytope],
+                excluded: dict[int, set]) -> bool:
+    """Every vertex of the copy lies in the corner polytope of its label m
+    and is none of the excluded corner points of m."""
+    return all(q not in excluded[m] and hull_member(q, corners[m].vertices)
+               for m, q in copy.items())
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +231,22 @@ def _int_barycentric(q: Point) -> list[int]:
     return [c.numerator * (m // c.denominator) for c in lam]
 
 
-def _relint_verdicts(qs, ws, cols: dict) -> Optional[list[bool]]:
-    """Whether each w of ws lies in the relative interior of hull(qs), or
-    None when qs is affinely dependent.
+def _relint_verdicts(qs, ws, cols: dict) -> list[bool]:
+    """Whether each w of ws lies in the relative interior of hull(qs), for
+    an affinely independent qs.
 
     cols maps every point to its _int_barycentric column.  One elimination
     of the columns of qs, then one column per w: lambda maps affine
     independence to linear independence (its image, sum = 1, misses the
-    origin), so qs is affinely independent iff its columns are the first
-    pivots.  w then lies in aff(qs) iff its column is zero from row |qs| on,
-    and its coordinates over qs are red[r][col] / det, each times a positive
-    factor from the scaling; w is in the relative interior iff all are
-    positive.  Sum one follows from sum(lambda) = 1.
+    origin), so the columns of qs are the first pivots.  w then lies in
+    aff(qs) iff its column is zero from row |qs| on, and its coordinates
+    over qs are red[r][col] / det, each times a positive factor from the
+    scaling; w is in the relative interior iff all are positive.  Sum one
+    follows from sum(lambda) = 1.
     """
     size = len(qs)
     red, pivots, det = rref_int(zip(*(cols[p] for p in (*qs, *ws))))
-    if pivots[:size] != list(range(size)):
-        return None
+    assert pivots[:size] == list(range(size)), "corner tuple is affinely dependent"
     return [all(red[r][col] == 0 for r in range(size, len(red)))
             and all(red[r][col] * det > 0 for r in range(size))
             for col in range(size, size + len(ws))]
@@ -273,8 +276,10 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
     interior-span(A): for sampled corner choices q_i (vertex or edge
         midpoints of U(A, i), excluded points removed), the shrunken copy
         P_A is strictly inside the relative interior of their hull.  One
-        elimination per tuple decides every vertex of P_A; a tuple that is
-        affinely dependent is decided by the strict LP instead.
+        elimination per tuple decides every vertex of P_A.  Each tuple is
+        affinely independent: every point q_i of U(A, i) has
+        lambda_i(q_i) >= 1 - amount/|A| > 1/2 and is zero outside A, so the
+        tuple's lambda matrix on A is column-diagonally dominant.
     level-nesting(A, i, j): the two conditions of the schedule search that
         tie level k to level k+1: each vertex of the copies of A - i and
         A - j lies in U(A, m) of its label m and is none of the excluded
@@ -332,23 +337,14 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
         tuples = list(itertools.product(*choices))
         ws = list(copy.values())
         cols = {p: _int_barycentric(p) for p in (*itertools.chain(*choices), *ws)}
-        ok = True
-        for qs in tuples:
-            verdicts = _relint_verdicts(qs, ws, cols)
-            if verdicts is None:        # affinely dependent: the strict LP decides
-                gens = MixedGenerators(open_faces=(qs,))
-                verdicts = (strict_hull_member(w, gens) for w in ws)
-            if not all(verdicts):
-                ok = False
-                break
+        ok = all(all(_relint_verdicts(qs, ws, cols)) for qs in tuples)
         rep.add("interior-span", (tuple(sorted(A)),), ok,
                 f"{len(tuples)} corner samples")
 
         if len(A) >= 3:
             next_amount = ctor.amounts[n + 2 - len(A)]
-            in_corners = {i: all(q not in excluded[m] and hull_member(q, corners[A, m].vertices)
-                                 for m, q in ctor.copies[A - {i}].items())
-                          for i in A}
+            corners_A = {m: corners[A, m] for m in A}
+            in_corners = {i: _in_corners(ctor.copies[A - {i}], corners_A, excluded) for i in A}
             for i, j in itertools.combinations(sorted(A), 2):
                 ci = ctor.copies[A - {i}]
                 cj = ctor.copies[A - {j}]

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from relconvex.analysis import d_relation
-from relconvex import embedding
 from relconvex.embedding import (
     Construction,
     _barycentric,
@@ -338,17 +337,17 @@ def corner_tuples(ctor: Construction):
 
 
 def routes_agree(qs, ws) -> list[bool]:
-    """The elimination's verdicts on each w, checked against the strict LP
-    (and, for a dependent qs, the oracle's affine dimension)."""
-    verdicts = _relint_verdicts(qs, ws, {p: _int_barycentric(p) for p in (*qs, *ws)})
+    """The strict LP's verdicts on each w, checked against the elimination;
+    a dependent qs, which no corner tuple is, must be refused."""
+    cols = {p: _int_barycentric(p) for p in (*qs, *ws)}
     gens = MixedGenerators(open_faces=(qs,))
     strict = [strict_hull_member(w, gens) for w in ws]
-    if verdicts is None:
-        assert affine_span_dim(qs) < len(qs) - 1, qs
-        return strict
-    assert affine_span_dim(qs) == len(qs) - 1, qs
-    assert verdicts == strict, (qs, ws)
-    return verdicts
+    if affine_span_dim(qs) < len(qs) - 1:
+        with pytest.raises(AssertionError):
+            _relint_verdicts(qs, ws, cols)
+    else:
+        assert _relint_verdicts(qs, ws, cols) == strict, (qs, ws)
+    return strict
 
 
 def test_interior_span_elimination_matches_strict_lp_on_the_constructions():
@@ -373,11 +372,10 @@ def test_interior_span_elimination_matches_strict_lp_on_the_constructions():
 
 def test_interior_span_elimination_on_hand_built_tuples():
     tri = (qp(0, 0), qp(1, 0), qp(0, 1))
-    # a repeated point, and three collinear points in the 2-face: dependent
+    # a repeated point, and three collinear points in the 2-face: dependent,
+    # so the elimination refuses them
     for qs in ((qp(0, 0), qp(0, 0), qp(1, 0)), (qp(0, 0), qp("1/2", 0), qp(1, 0))):
-        ws = [qp("1/4", 0)]
-        assert _relint_verdicts(qs, ws, {p: _int_barycentric(p) for p in (*qs, *ws)}) is None
-        assert routes_agree(qs, ws) == [True]
+        assert routes_agree(qs, [qp("1/4", 0)]) == [True]
     # w off the affine hull of an edge, and w inside it
     assert routes_agree(tri[:2], [qp("1/2", "1/4"), qp("1/2", 0)]) == [False, True]
     # w on the boundary of the triangle (a zero coordinate), then inside
@@ -407,17 +405,20 @@ def test_interior_span_elimination_matches_strict_lp_on_random_tuples():
     assert dependent == verdicts == {True, False}
 
 
-def test_interior_span_fallback_gives_the_same_reports(monkeypatch):
-    # with every tuple reported dependent, interior-span is decided by the
-    # strict LP alone, and every report stays the same
-    edge_off_line = build_construction(2)
-    copy = edge_off_line.copies[frozenset({0, 1})]
-    copy[0] = (copy[0][0], F(1, 1000))
-    ctors = [build_construction(1), build_construction(2), edge_off_line,
-             with_amounts(2, [F(1, 2), F(1, 2), F(0)])]
-    before = [verify_lemmas(c).checks for c in ctors]
-    monkeypatch.setattr(embedding, "_relint_verdicts", lambda qs, ws, cols: None)
-    assert [verify_lemmas(c).checks for c in ctors] == before
+def test_corner_tuples_are_affinely_independent_for_any_amounts():
+    # every point q of U(A, i) has lambda_i(q) >= 1 - amount/|A| > 1/2 and
+    # is zero outside A, so the lambda matrix of a tuple is column-diagonally
+    # dominant on A; amounts near 1 keep the margin smallest
+    for amounts in ([F(63, 64), F(63, 64), 0], [F(1, 64), F(1, 128), 0],
+                    [F(127, 128), F(63, 64), F(31, 32), 0]):
+        ctor = with_amounts(len(amounts) - 1, amounts)
+        for A, qs, _ in corner_tuples(ctor):
+            for i, q in zip(sorted(A), qs):
+                lam = _barycentric(q)
+                assert lam[i] > F(1, 2) and all(lam[m] == 0 for m in range(ctor.n + 1) if m not in A)
+        # the lemma run decides each of those tuples without tripping the
+        # elimination's independence assert
+        assert any(c.name == "interior-span" for c in verify_lemmas(ctor).checks)
 
 
 def test_barycentric_closed_form_matches_solve():
