@@ -7,22 +7,22 @@ Caratheodory's theorem subsets of size at most dim+1 suffice).  A closure is
 then a single pass of subset tests, which keeps full enumerations cheap.
 
 Hull membership and affine independence do not change under an affine
-bijection, so the table is built on the ground scaled once to integer
-coordinates.  It then takes one elimination per candidate subset, every
-undecided point as an extra column: one fraction-free
-:func:`relconvex.linalg.rref_int` call and no ``Fraction`` arithmetic.
+bijection, so the table is built on the ground's
+:func:`relconvex.geometry.integer_columns`.  It then takes one
+:func:`relconvex.linalg.span_coordinates` per candidate subset, every
+undecided point as a query: one fraction-free elimination and no
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, ResourceLimitError
-from .geometry import Point
-from .linalg import rref_int
+from .geometry import Point, integer_columns
+from .linalg import span_coordinates
 
 DEFAULT_MAX_GROUND = 20
 MAX_SCAN_GROUND = 16
@@ -52,18 +52,14 @@ class FiniteGround:
     def _witness_table(self) -> list[list[int]]:
         if self._witnesses is not None:
             return self._witnesses
-        scale = lcm(*(c.denominator for p in self.points for c in p))
-        pts = [[c.numerator * (scale // c.denominator) for c in p] + [1] for p in self.points]
+        cols = integer_columns(self.points)
         table: list[list[int]] = [[] for _ in range(self.n)]
-        # One elimination per candidate subset, every undecided point as an
-        # extra column: columns (p_j, 1) for j in the subset, then (q, 1) for
-        # each q outside it that no witness found so far lies inside.  The
-        # subset is affinely independent iff its `size` columns are pivots.
-        # q is in its affine hull iff q's column is zero from row `size` on,
-        # and then its barycentric coordinates are red[r][col] / det, since
-        # the reduced rows stay rows / det after later pivots on q columns.
-        # Visiting subsets by size, then in combinations order, lists each
-        # point's witnesses in the order a per-point search would.
+        # One elimination per candidate subset, every undecided point (one
+        # that no witness found so far contains) as a query column: q is in
+        # the hull of an affinely independent subset iff its coordinates
+        # over it are all >= 0.  Visiting subsets by size, then in
+        # combinations order, lists each point's witnesses in the order a
+        # per-point search would.
         for size in range(1, self.dim + 2):
             for subset in combinations(range(self.n), size):
                 mask = 0
@@ -73,13 +69,9 @@ class FiniteGround:
                              if not mask >> q & 1 and not any(m & mask == m for m in table[q])]
                 if not undecided:
                     continue
-                cols = [pts[j] for j in subset] + [pts[q] for q in undecided]
-                red, pivots, det = rref_int(zip(*cols))
-                if pivots[:size] != list(range(size)):
-                    continue
-                for col, q in enumerate(undecided, size):
-                    if (all(red[r][col] == 0 for r in range(size, len(red)))
-                            and all(red[r][col] * det >= 0 for r in range(size))):
+                coords = span_coordinates([cols[j] for j in subset], [cols[q] for q in undecided])
+                for q, c in zip(undecided, coords or ()):
+                    if c is not None and min(c) >= 0:
                         table[q].append(mask)
         self._witnesses = table
         return table

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .analysis import Witness, check_lower_bounded, map_defects
@@ -34,12 +33,13 @@ from .geometry import (
     VPolytope,
     centroid,
     hull_member,
+    integer_columns,
     interpolate,
     standard_simplex,
     strict_hull_member,
 )
 from .lattice import FiniteLattice
-from .linalg import rref_int
+from .linalg import span_coordinates
 
 EPSILON_SEARCH_BUDGET = 64
 
@@ -224,34 +224,6 @@ def _barycentric(q: Point) -> Point:
     return (1 - sum(q),) + q
 
 
-def _int_barycentric(q: Point) -> list[int]:
-    """_barycentric(q) times the lcm of its denominators, a positive integer."""
-    lam = _barycentric(q)
-    m = lcm(*(c.denominator for c in lam))
-    return [c.numerator * (m // c.denominator) for c in lam]
-
-
-def _relint_verdicts(qs, ws, cols: dict) -> list[bool]:
-    """Whether each w of ws lies in the relative interior of hull(qs), for
-    an affinely independent qs.
-
-    cols maps every point to its _int_barycentric column.  One elimination
-    of the columns of qs, then one column per w: lambda maps affine
-    independence to linear independence (its image, sum = 1, misses the
-    origin), so the columns of qs are the first pivots.  w then lies in
-    aff(qs) iff its column is zero from row |qs| on, and its coordinates
-    over qs are red[r][col] / det, each times a positive factor from the
-    scaling; w is in the relative interior iff all are positive.  Sum one
-    follows from sum(lambda) = 1.
-    """
-    size = len(qs)
-    red, pivots, det = rref_int(zip(*(cols[p] for p in (*qs, *ws))))
-    assert pivots[:size] == list(range(size)), "corner tuple is affinely dependent"
-    return [all(red[r][col] == 0 for r in range(size, len(red)))
-            and all(red[r][col] * det > 0 for r in range(size))
-            for col in range(size, size + len(ws))]
-
-
 def _corner_samples(u: VPolytope, excluded: set) -> list[Point]:
     """The vertices of the corner polytope u other than the excluded points,
     then the midpoint of each edge of u."""
@@ -280,10 +252,11 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
         affinely independent: every point q_i of U(A, i) has
         lambda_i(q_i) >= 1 - amount/|A| > 1/2 and is zero outside A, so the
         tuple's lambda matrix on A is column-diagonally dominant.
-    level-nesting(A, i, j): the two conditions of the schedule search that
-        tie level k to level k+1: each vertex of the copies of A - i and
-        A - j lies in U(A, m) of its label m and is none of the excluded
-        corner points p(m, A, .), and the strict two-face containment.
+    level-nesting(A, i, j): the copies of A - i and A - j are their
+        schedule shrinks, and the two conditions of the schedule search that
+        tie level k to level k+1 hold: each vertex of both copies lies in
+        U(A, m) of its label m and is none of the excluded corner points
+        p(m, A, .), and the strict two-face containment.
     corner-monotone(A, B, i): U(A, i) inside U(B, i) for A inside B.
     """
     rep = LemmaReport()
@@ -336,21 +309,28 @@ def verify_lemmas(ctor: Construction) -> LemmaReport:
         choices = [_corner_samples(corners[A, i], excluded[i]) for i in sorted(A)]
         tuples = list(itertools.product(*choices))
         ws = list(copy.values())
-        cols = {p: _int_barycentric(p) for p in (*itertools.chain(*choices), *ws)}
-        ok = all(all(_relint_verdicts(qs, ws, cols)) for qs in tuples)
+        pts = [*itertools.chain(*choices), *ws]
+        cols = dict(zip(pts, integer_columns(pts)))
+        ok = True
+        for qs in tuples:
+            # w is in relint hull(qs) iff its coordinates over qs are all > 0
+            coords = span_coordinates([cols[q] for q in qs], [cols[w] for w in ws])
+            assert coords is not None, "corner tuple is affinely dependent"
+            if not all(c is not None and min(c) > 0 for c in coords):
+                ok = False
+                break
         rep.add("interior-span", (tuple(sorted(A)),), ok,
                 f"{len(tuples)} corner samples")
 
         if len(A) >= 3:
             next_amount = ctor.amounts[n + 2 - len(A)]
             corners_A = {m: corners[A, m] for m in A}
-            in_corners = {i: _in_corners(ctor.copies[A - {i}], corners_A, excluded) for i in A}
+            faces = {i: ctor.copies[A - {i}] for i in A}
+            # each copy of A - i is its schedule shrink and fits the corners
+            fits = {i: faces[i] == _shrink_labeled({m: verts[m] for m in A - {i}}, next_amount)
+                    and _in_corners(faces[i], corners_A, excluded) for i in A}
             for i, j in itertools.combinations(sorted(A), 2):
-                ci = ctor.copies[A - {i}]
-                cj = ctor.copies[A - {j}]
-                expected_i = _shrink_labeled({m: verts[m] for m in A - {i}}, next_amount)
-                ok = (ci == expected_i and in_corners[i] and in_corners[j]
-                      and _nested(copy, ci, cj))
+                ok = fits[i] and fits[j] and _nested(copy, faces[i], faces[j])
                 rep.add("level-nesting", (tuple(sorted(A)), i, j), ok)
 
     for A, B in itertools.product(subsets, repeat=2):

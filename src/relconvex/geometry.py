@@ -2,10 +2,10 @@
 
 Points are tuples of ``Fraction``; every predicate below is decided exactly,
 either by the exact simplex solver in :mod:`relconvex.lp` or by linear
-algebra, where each affine question (the dimension of a polytope, a facet
-normal, the coordinates of a Carathéodory candidate) is answered by the
-pivots of one :func:`relconvex.linalg.rref`.  Openness (a segment missing an
-endpoint, the relative interior of a face) is handled by strict linear
+algebra: a polytope's dimension and facet normals come from one
+:func:`relconvex.linalg.rref`, a Carathéodory candidate's coordinates from
+one :func:`relconvex.linalg.span_coordinates`.  Openness (a segment missing
+an endpoint, the relative interior of a face) is handled by strict linear
 programming: all strict inequalities share one slack variable which is then
 maximized, so strict feasibility is equivalent to a positive optimum.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg, lp
@@ -135,6 +136,13 @@ def hull_member(q: Point, pts: Sequence[Point]) -> bool:
     return _combo_lp([[(p, False) for p in pts]], q, "strict")
 
 
+def integer_columns(points: Sequence[Point]) -> list[list[int]]:
+    """Each point times the lcm of all denominators, with a 1 appended: an
+    affine bijection, so coordinates of columns are barycentric ones."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return [[c.numerator * (scale // c.denominator) for c in p] + [1] for p in points]
+
+
 def caratheodory_witness(q: Point, pts: Sequence[Point]):
     """Hull membership by brute force over affinely independent subsets.
 
@@ -148,17 +156,15 @@ def caratheodory_witness(q: Point, pts: Sequence[Point]):
     if len(q) != dim:
         raise DimensionMismatch("query point dimension mismatch")
     uniq = sorted(set(pts))
+    *cols, qcol = integer_columns([*uniq, q])
     for size in range(1, dim + 2):
-        for subset in itertools.combinations(uniq, size):
-            # Columns (p, 1) then (q, 1): the subset is affinely independent
-            # iff its columns are the pivots, q lies in its affine hull iff
-            # q's column is none, and that column then holds q's coordinates.
-            red, pivots = linalg.rref(list(zip(*((*p, 1) for p in subset), (*q, 1))))
-            if pivots != list(range(size)):
-                continue
-            coords = [row[size] for row in red[:size]]
-            if all(c >= 0 for c in coords):
-                return subset, coords
+        for pairs in itertools.combinations(zip(uniq, cols), size):
+            subset, basis = zip(*pairs)
+            found = linalg.span_coordinates(basis, [qcol])
+            coords = found and found[0]
+            if coords and min(coords) >= 0:
+                total = sum(coords)     # the common factor
+                return subset, [Fraction(c, total) for c in coords]
     return None
 
 

@@ -99,11 +99,18 @@ def ground_to_json(g: FiniteGround) -> dict:
     }
 
 
+def _declared_dim(data: dict, ground):
+    """ground, unless the document declares a "dim" other than its dimension."""
+    if "dim" in data and _int(data["dim"], "dim") != ground.dim:
+        raise InputError(f"declared dim {data['dim']} but the points lie in Q^{ground.dim}")
+    return ground
+
+
 @_document
 def ground_from_json(data: dict) -> FiniteGround:
     if data.get("type") != "finite-ground":
         raise InputError("expected a finite-ground document")
-    return FiniteGround([point_from_json(p) for p in data["points"]])
+    return _declared_dim(data, FiniteGround([point_from_json(p) for p in data["points"]]))
 
 
 @_document
@@ -115,7 +122,7 @@ def segment_ground_from_json(data: dict) -> SegmentUnionGround:
         segs.append(Segment(point_from_json(s["a"]), point_from_json(s["b"]),
                             _flag(s.get("a_closed", True), "a_closed"),
                             _flag(s.get("b_closed", True), "b_closed")))
-    return SegmentUnionGround(segs)
+    return _declared_dim(data, SegmentUnionGround(segs))
 
 
 @_document

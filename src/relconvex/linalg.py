@@ -2,17 +2,17 @@
 
 All elimination runs fraction-free on Python ``int`` in one step,
 :func:`bareiss_step` (Bareiss's integer-preserving pivot), which both
-:func:`rref_int` and the simplex in :mod:`relconvex.lp` apply.  :func:`rref`
-clears denominators row by row, which leaves the reduced row echelon form
-unchanged, and builds ``Fraction`` values only on the way out; rank,
-solutions and null vectors are read off its pivots by the callers.
+:func:`rref_int` and the simplex in :mod:`relconvex.lp` apply.  Every
+Carathéodory question reads its coordinates off one :func:`span_coordinates`.
+:func:`rref` clears denominators row by row, which leaves the reduced row
+echelon form unchanged, and builds ``Fraction`` values only on the way out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def bareiss_step(rows: list[list[int]], r: int, c: int, d: int) -> int:
@@ -60,6 +60,26 @@ def rref_int(matrix: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int
         if r == nrows:
             break
     return rows, pivots, det
+
+
+def span_coordinates(basis: Sequence[Sequence[int]],
+                     queries: Sequence[Sequence[int]]) -> Optional[list[Optional[list[int]]]]:
+    """Per query column: None off the span of the basis columns, else its
+    coordinates over them times ``|det|``; None for a dependent basis.
+
+    One :func:`rref_int` of the basis then the query columns.  The basis is
+    independent iff its columns are the first pivots, and a query is in
+    their span iff its column is zero past the basis rows; its coordinates
+    are then ``red[r][col] / det``, as the rows stay ``rref * det``.
+    """
+    size = len(basis)
+    red, pivots, det = rref_int(zip(*basis, *queries))
+    if pivots[:size] != list(range(size)):
+        return None
+    sign = 1 if det > 0 else -1
+    return [None if any(red[r][col] for r in range(size, len(red)))
+            else [sign * red[r][col] for r in range(size)]
+            for col in range(size, size + len(queries))]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -223,6 +223,16 @@ def test_ground_without_points_exit_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
+def test_ground_with_contradicting_dim_exit_1(tmp_path, capsys):
+    ground = tmp_path / "ground.json"
+    ground.write_text(json.dumps({"type": "finite-ground", "dim": 5,
+                                  "points": [["0"], ["1"]]}))
+    code = main(["build", "--input", str(ground)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "input", "reason": "declared dim 5 but the points lie in Q^1"}
+
+
 def test_segment_without_endpoint_exit_1(tmp_path, capsys):
     ground = tmp_path / "segments.json"
     ground.write_text(json.dumps({"type": "segment-ground",

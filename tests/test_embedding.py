@@ -10,8 +10,6 @@ from relconvex.embedding import (
     _barycentric,
     _corner_samples,
     _eps_ok,
-    _int_barycentric,
-    _relint_verdicts,
     build_construction,
     build_embedding,
     build_ground_set,
@@ -26,10 +24,12 @@ from relconvex.geometry import (
     MixedGenerators,
     VPolytope,
     centroid,
+    integer_columns,
     qp,
     standard_simplex,
     strict_hull_member,
 )
+from relconvex.linalg import span_coordinates
 
 from oracles import affine_coordinates, affine_span_dim, face_support, p_point_reference
 from test_analysis import agrees_with_oracle, mutations
@@ -232,26 +232,32 @@ def failed_checks(ctor: Construction) -> list[tuple]:
     return [(c.name, c.context) for c in verify_lemmas(ctor).checks if not c.ok]
 
 
-def test_negative_control_edge_copy_vertex_off_its_line_fails_interior_span_only():
+def test_negative_control_edge_copy_vertex_off_its_line_fails_interior_span_and_level_nesting():
     # one endpoint of the copy of edge {0, 1} lifted off the edge: it leaves
     # the affine hull of every corner tuple of that edge; the edge's slab
     # checks still hold (its lambda_1 is unchanged and its lambda_0 stays
     # above the level of lambda_0), and it stays in its corner of the
-    # triangle
+    # triangle, but the copy is no longer the schedule shrink of {0, 1},
+    # which level-nesting compares for both pairs holding A - 2 = {0, 1}
     ctor = build_construction(2)
     copy = ctor.copies[frozenset({0, 1})]
     copy[0] = (copy[0][0], F(1, 1000))
-    assert failed_checks(ctor) == [("interior-span", ((0, 1),))]
+    assert failed_checks(ctor) == [("interior-span", ((0, 1),)),
+                                   ("level-nesting", ((0, 1, 2), 0, 2)),
+                                   ("level-nesting", ((0, 1, 2), 1, 2))]
 
 
 def test_negative_control_edge_copy_vertex_past_a_corner_sample():
     # the same endpoint moved along the edge toward vertex 0, past the
     # midpoint sample of its corner segment: it is outside the open segment
-    # of that sample and the other corner, and off its slab level
+    # of that sample and the other corner, off its slab level, and not the
+    # schedule shrink that level-nesting compares
     ctor = build_construction(2)
     copy = ctor.copies[frozenset({0, 1})]
     copy[0] = (copy[0][0] / 4, copy[0][1])
-    assert failed_checks(ctor) == [("slab", ((0, 1), 1)), ("interior-span", ((0, 1),))]
+    assert failed_checks(ctor) == [("slab", ((0, 1), 1)), ("interior-span", ((0, 1),)),
+                                   ("level-nesting", ((0, 1, 2), 0, 2)),
+                                   ("level-nesting", ((0, 1, 2), 1, 2))]
 
 
 def test_lemma_summary_n3():
@@ -279,8 +285,8 @@ def test_level_nesting_certifies_the_corner_containment_of_the_search():
 
 def test_level_nesting_checks_each_copy_against_the_corners():
     # the copy of edge {0, 1} is A - j for the last j of the triangle A, so
-    # only level-nesting's corner test on A - j sees it; in both cases the
-    # two-face containment still holds
+    # only level-nesting's tests on A - j see it; in both cases the two-face
+    # containment still holds
     ctor = build_construction(2)
     triangle = frozenset({0, 1, 2})
     copy = ctor.copies[frozenset({0, 1})]
@@ -337,16 +343,17 @@ def corner_tuples(ctor: Construction):
 
 
 def routes_agree(qs, ws) -> list[bool]:
-    """The strict LP's verdicts on each w, checked against the elimination;
-    a dependent qs, which no corner tuple is, must be refused."""
-    cols = {p: _int_barycentric(p) for p in (*qs, *ws)}
+    """The strict LP's verdicts on each w, checked against the elimination
+    (every coordinate over qs positive); a dependent qs, which no corner
+    tuple is, gives None."""
+    cols = integer_columns([*qs, *ws])
+    coords = span_coordinates(cols[:len(qs)], cols[len(qs):])
     gens = MixedGenerators(open_faces=(qs,))
     strict = [strict_hull_member(w, gens) for w in ws]
     if affine_span_dim(qs) < len(qs) - 1:
-        with pytest.raises(AssertionError):
-            _relint_verdicts(qs, ws, cols)
+        assert coords is None, (qs, ws)
     else:
-        assert _relint_verdicts(qs, ws, cols) == strict, (qs, ws)
+        assert [c is not None and min(c) > 0 for c in coords] == strict, (qs, ws)
     return strict
 
 

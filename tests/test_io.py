@@ -87,6 +87,29 @@ def test_type_mismatch_raises():
         rio.polytope_from_json({"type": "finite-ground"})
 
 
+# a declared dim must be a JSON integer equal to the points' dimension, 2
+BAD_DIMS = [5, 1, "2", 2.0, True, None]
+
+
+@pytest.mark.parametrize("dim", BAD_DIMS)
+def test_ground_declared_dim_contradicting_the_points_raises(dim):
+    doc = {"type": "finite-ground", "dim": dim, "points": [["0", "0"], ["1", "1"]]}
+    with pytest.raises(InputError):
+        rio.ground_from_json(doc)
+    del doc["dim"]
+    assert rio.ground_from_json(doc).dim == 2
+
+
+@pytest.mark.parametrize("dim", BAD_DIMS)
+def test_segment_ground_declared_dim_contradicting_the_points_raises(dim):
+    doc = {"type": "segment-ground", "dim": dim,
+           "segments": [{"a": ["0", "0"], "b": ["1", "1"]}]}
+    with pytest.raises(InputError):
+        rio.segment_ground_from_json(doc)
+    del doc["dim"]
+    assert rio.segment_ground_from_json(doc).dim == 2
+
+
 # ---------------------------------------------------------------------------
 # dumps against json.dumps(indent=2, sort_keys=True)
 

@@ -1,5 +1,6 @@
-"""The fraction-free kernel against the Fraction Gauss-Jordan reference in
-oracles.py, and the reference's linear solve against M x = b itself."""
+"""The fraction-free kernel and the span coordinates read off it against the
+Fraction Gauss-Jordan reference in oracles.py, and the reference's linear
+solve against M x = b itself."""
 
 from fractions import Fraction as F
 from math import lcm
@@ -7,7 +8,7 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relconvex.linalg import rref, rref_int
+from relconvex.linalg import rref, rref_int, span_coordinates
 
 from oracles import rref_reference, solve_reference
 
@@ -107,6 +108,67 @@ def test_solve_matches_reference(system):
 def test_nullspace_matches_reference(m):
     zero = [F(0)] * len(m)
     check_solution(m, zero, solve_reference(m, zero))
+
+
+@st.composite
+def spans(draw):
+    """(basis, queries): integer columns of one height, the basis sometimes
+    dependent (a repeated or combined column, or more columns than rows), a
+    query either a combination of the basis columns or drawn freely, which
+    puts it off a basis of lower rank almost always."""
+    height = draw(st.integers(1, 5))
+    column = st.lists(st.integers(-6, 6), min_size=height, max_size=height)
+    basis = draw(st.lists(column, min_size=1, max_size=height + 1))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, len(basis) - 1)), draw(st.integers(0, len(basis) - 1))
+        basis.append([2 * x - y for x, y in zip(basis[a], basis[b])])
+    queries = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            coef = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+            queries.append([sum(c * col[r] for c, col in zip(coef, basis)) for r in range(height)])
+        else:
+            queries.append(draw(column))
+    return basis, queries
+
+
+@settings(deadline=None)
+@given(spans())
+def test_span_coordinates_match_reference(case):
+    basis, queries = case
+    got = span_coordinates(basis, queries)
+    m = [[F(v) for v in row] for row in zip(*basis)]
+    if len(rref_reference(m)[1]) < len(basis):
+        assert got is None
+        return
+    assert len(got) == len(queries)
+    factors = set()
+    for q, coords in zip(queries, got):
+        sol = solve_reference(m, [F(v) for v in q])
+        if sol is None:
+            assert coords is None
+            continue
+        part, null = sol
+        assert null == [] and all(type(c) is int for c in coords)
+        # the same zeros, and one positive factor over every query
+        assert [c == 0 for c in coords] == [x == 0 for x in part]
+        factors.update(F(c) / x for c, x in zip(coords, part) if x)
+    assert len(factors) <= 1 and all(f > 0 for f in factors)
+
+
+def test_span_coordinates_edge_cases():
+    # a dependent basis, with and without queries
+    assert span_coordinates([[1, 2], [2, 4]], [[1, 2]]) is None
+    assert span_coordinates([[1, 2], [2, 4]], []) is None
+    # an empty query list, and a query off the span
+    assert span_coordinates([[1, 0, 0]], []) == []
+    assert span_coordinates([[1, 0, 0]], [[0, 1, 0], [3, 0, 0]]) == [None, [3]]
+    # a negative det: the coordinates keep their true signs
+    assert rref_int([[-1, 2, -3]])[2] == -1
+    assert span_coordinates([[-1]], [[2], [-3]]) == [[-2], [3]]
+    # (2, 3) = 1 * (2, 0) - 1 * (0, -3), scaled by |det| = 6
+    assert rref_int([[2, 0, 2], [0, -3, 3]])[2] == -6
+    assert span_coordinates([[2, 0], [0, -3]], [[2, 3]]) == [[6, -6]]
 
 
 def test_empty_shapes():
