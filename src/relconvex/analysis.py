@@ -156,20 +156,21 @@ class ClosureTable:
 
     def __init__(self, n: int, table: dict[int, int]):
         self.n = n
-        full = 1 << n
         self._table = dict(table)
         for mask in self._table:
-            if not 0 <= mask < full:
+            if mask < 0 or mask.bit_length() > n:
                 raise InputError(f"closure table key {mask} is not a subset of {n} points")
-        for mask in range(full):
-            cl = self._table.get(mask)
-            if cl is None:
-                raise InputError(f"closure table missing subset {mask:b}")
+        # distinct subset keys list all 2^n iff there are 2^n; a huge n fails before the shift
+        count = len(self._table)
+        if not 0 <= n < count.bit_length() or count != 1 << n:
+            raise InputError(f"closure table lists {count} subsets, not the 2^{n} of {n} points")
+        for mask in range(count):
+            cl = self._table[mask]
             if cl & mask != mask:
                 raise InputError("closure table not extensive")
             if self._table.get(cl) != cl:
                 raise InputError("closure table not idempotent")
-        for mask in range(full):
+        for mask in range(count):
             for i in range(n):
                 sup = mask | (1 << i)
                 if self._table[mask] & self._table[sup] != self._table[mask]:

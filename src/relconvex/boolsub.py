@@ -1,10 +1,11 @@
-"""The Boolean lattice of subsets of {0..n}, its meet-subsemilattices, and
-their geometric images inside a simplex.
+"""The Boolean lattice of subsets of {0..n}, the lattice of its
+top-containing meet-closed families, and their geometric images inside a
+simplex.
 
-Subsets are int bitmasks.  A family of subsets is a frozenset of masks while
-it is enumerated, and its code (bit t set for each member t) once it is an
-element of the family lattice; the code's sorted bits are the family's
-sorted members.  A subset t maps to the open face of the simplex on the
+Subsets are int bitmasks, and a family of subsets is its code, bit t set for
+each member t; the code's sorted bits are the family's sorted members.  The
+family lattice is enumerated by the NextClosure of ``closure``, under its
+bound on closed sets.  A subset t maps to the open face of the simplex on the
 complementary vertices, full ^ t (nothing for the full subset), and a family
 to the union of its members' faces: a union of open faces is a set of vertex
 masks, which ``face_generators`` turns into hull generators.
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .errors import InputError, ResourceLimitError
+from .closure import next_closure
+from .errors import InputError
 from .geometry import (
     MixedGenerators,
     VPolytope,
@@ -38,38 +40,28 @@ def full_mask(n: int) -> int:
     return (1 << (n + 1)) - 1
 
 
-def is_meet_closed(family: Iterable[int]) -> bool:
-    fam = set(family)
-    return all(a & b in fam for a, b in itertools.combinations(fam, 2))
+def subm_lattice(n: int) -> FiniteLattice:
+    """The lattice of the meet-closed families of subsets of {0..n} that
+    contain the full set, ordered by inclusion, each element labelled by its
+    family code.
 
-
-def iter_meet_subsemilattices(n: int) -> Iterator[frozenset[int]]:
-    """All meet-closed families of subsets of {0..n}, the empty family
-    included, in increasing order of the family code."""
-    if n > 3:
-        raise ResourceLimitError("family iteration supported for n <= 3")
-    size = 1 << (n + 1)
-    for code in range(1 << size):
-        members = [m for m in range(size) if code >> m & 1]
-        if is_meet_closed(members):
-            yield frozenset(members)
-
-
-def _family_code(family: frozenset[int]) -> int:
-    code = 0
-    for m in family:
-        code |= 1 << m
-    return code
-
-
-def subm_lattice(families: Iterable[frozenset[int]]) -> FiniteLattice:
-    """The lattice of the given meet-closed families ordered by inclusion,
-    each element labelled by its family code.
-
-    Meet is intersection and join is the meet-closure of the union; the
-    families must form a closure system over the subsets (closed under both).
+    These families are the closure systems on n + 1 points.  They are the
+    closed sets of the operator that adds the full set to a family and
+    closes it under intersection, so NextClosure lists them, and raises
+    ResourceLimitError past MAX_ELEMENTS of them (n = 4 has 1,385,552).
+    Meet is intersection and join is the closure of the union.
     """
-    return FiniteLattice.from_closed_masks([_family_code(f) for f in families])
+    size = 1 << (n + 1)
+    top = 1 << full_mask(n)
+
+    def close(code: int) -> int:
+        members = new = {m for m in range(size) if (code | top) >> m & 1}
+        while new:      # only meets with a member new in the last round can be new
+            new = {a & b for a in new for b in members} - members
+            members |= new
+        return sum(1 << m for m in members)
+
+    return FiniteLattice.from_closed_masks(next_closure(size, close))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Commands:
     verify-paper run the full acceptance suite
 
 Exit codes: 0 = success / property holds, 3 = property violated (witness in
-the report), 1 = input error, 2 = resource bound exceeded.  All artifacts are
+the report), 1 = input error, 2 = resource bound exceeded (over --max-ground
+points, over MAX_ELEMENTS closed sets or lattice elements, or embed n >= 3).  All artifacts are
 deterministic for a fixed seed; timings appear only with --timings.
 """
 
@@ -137,7 +138,7 @@ def cmd_check(args) -> int:
 def cmd_embed(args) -> int:
     if args.format == "svg" and args.n == 1:    # the one non-planar n that build_embedding finishes
         raise InputError("SVG output needs a planar configuration (n = 2)")
-    w = build_embedding(args.n, allow_large=args.allow_large)
+    w = build_embedding(args.n)
     ground_doc = rio.ground_to_json(w.ground)
     ground_doc["labels"] = [str(lab) for lab in w.labels]
     _write(args, f"embed_ground_n{args.n}.json", rio.dumps(ground_doc))
@@ -273,10 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     e = add_cmd("embed", help="simplex construction and embedding verification")
-    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--n", type=int, required=True, help="1 or 2 (3 exceeds the closed-set bound)")
     e.add_argument("--format", choices=["json", "dot", "svg"], default="json")
-    e.add_argument("--allow-large", action="store_true",
-                   help="allow n = 3, which does not finish (ran past 150 s)")
     e.set_defaults(func=cmd_embed)
 
     s = add_cmd("segments", help="segment-union ground operations")

@@ -18,14 +18,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, ResourceLimitError
 from .geometry import Point, integer_columns
+from .lattice import MAX_ELEMENTS, FiniteLattice
 from .linalg import span_coordinates
 
 DEFAULT_MAX_GROUND = 20
 MAX_SCAN_GROUND = 16
+
+
+def next_closure(n: int, closure: Callable[[int], int]) -> list[int]:
+    """Every closed set of a closure operator on n points, as bitmasks in lectic
+    order (Ganter's NextClosure) from closure(0), which may be nonempty.
+    Raises ResourceLimitError at the first closed set past MAX_ELEMENTS."""
+    out, mask = [], closure(0)
+    while True:
+        if len(out) == MAX_ELEMENTS:
+            raise ResourceLimitError(f"more than {MAX_ELEMENTS} closed sets")
+        out.append(mask)
+        for i in reversed(range(n)):
+            low = (1 << i) - 1
+            if not mask >> i & 1:
+                candidate = closure((mask & low) | 1 << i)
+                if candidate & low == mask & low:
+                    mask = candidate
+                    break
+        else:
+            return out
 
 
 class FiniteGround:
@@ -92,28 +113,12 @@ class FiniteGround:
 
     # -- enumeration --------------------------------------------------------
 
-    def _next_closed(self, mask: int) -> Optional[int]:
-        for i in reversed(range(self.n)):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            low = bit - 1
-            candidate = self.closure_mask((mask & low) | bit)
-            if candidate & low == mask & low:
-                return candidate
-        return None
-
     def enumerate_closed_masks(self, max_ground: int = DEFAULT_MAX_GROUND) -> list[int]:
         """All closed sets, generated in lectic order (NextClosure)."""
         if self.n > max_ground:
             raise ResourceLimitError(
                 f"ground of size {self.n} exceeds the enumeration bound {max_ground}")
-        out = []
-        mask = self.closure_mask(0)
-        while mask is not None:
-            out.append(mask)
-            mask = self._next_closed(mask)
-        return out
+        return next_closure(self.n, self.closure_mask)
 
     def scan_closed_masks(self) -> list[int]:
         """Reference enumeration: test every subset for being a fixpoint.
@@ -126,8 +131,5 @@ class FiniteGround:
                 f"ground of size {self.n} exceeds the brute-force bound {MAX_SCAN_GROUND}")
         return [m for m in range(1 << self.n) if self.closure_mask(m) == m]
 
-    def lattice(self, max_ground: int = DEFAULT_MAX_GROUND):
-        from .lattice import FiniteLattice
-
-        masks = self.enumerate_closed_masks(max_ground)
-        return FiniteLattice.from_closed_masks(masks)
+    def lattice(self, max_ground: int = DEFAULT_MAX_GROUND) -> FiniteLattice:
+        return FiniteLattice.from_closed_masks(self.enumerate_closed_masks(max_ground))

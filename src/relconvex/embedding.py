@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .analysis import Witness, check_lower_bounded, map_defects
-from .boolsub import face_generators, full_mask, iter_meet_subsemilattices, subm_lattice
+from .boolsub import face_generators, full_mask, subm_lattice
 from .closure import FiniteGround
 from .errors import ConstructionError, InputError, ResourceLimitError
 from .geometry import (
@@ -389,7 +389,7 @@ class EmbeddingWitness:
                 and self.report["join_preserving"] and self.report["lower_bounded"])
 
 
-def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
+def build_embedding(n: int) -> EmbeddingWitness:
     """Construct X, map every top-containing meet-closed family S to the
     trace of its face-interior union on X, and machine-verify that the map
     is a lattice embedding of a lower bounded lattice (the source, as the
@@ -402,22 +402,16 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
     only there have equal traces and the unrestricted map cannot be
     injective.  The report records both family counts.
 
-    n = 3 sits behind allow_large and does not finish: its ground has 29
-    points, and the closed-set enumeration of the target lattice ran past
-    150 s without an end on a 2-vCPU host; the 2480-element family lattice
-    takes seconds.
+    The target lattice is enumerated under the bound on closed sets, so
+    n = 3, whose 29-point ground has more than MAX_ELEMENTS of them, raises
+    ResourceLimitError; build_ground_set refuses n >= 4 at once.
     """
-    if n > 2 and not (n == 3 and allow_large):     # n < 1: as in build_ground_set
-        raise ResourceLimitError("embedding verification supported for n in {1, 2} "
-                                 "(n = 3 behind allow_large)")
     ctor, ground, labels = build_ground_set(n)
     lemma_report = verify_lemmas(ctor)
 
     full = full_mask(n)
-    all_families = list(iter_meet_subsemilattices(n))
-    families = [f for f in all_families if full in f]
-    source = subm_lattice(families)
     target = ground.lattice(max_ground=ground.n)
+    source = subm_lattice(n)
 
     piece_gens = {piece: face_generators(ctor.base, [piece])
                   for piece in range(1, full + 1)}
@@ -447,8 +441,10 @@ def build_embedding(n: int, *, allow_large: bool = False) -> EmbeddingWitness:
         "lemmas_ok": lemma_report.ok,
         "lemma_summary": lemma_report.summary(),
         "piece_audit_ok": audit_ok,
-        "families_total": len(all_families),
-        "families_top": len(families),
+        # F -> F minus full is a bijection onto the meet-closed families
+        # without full, since a ∩ b = full only for a = b = full
+        "families_total": 2 * source.n,
+        "families_top": source.n,
         "source_size": source.n,
         "target_size": target.n,
         "injective": defects["not-injective"] is None,

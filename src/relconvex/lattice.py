@@ -18,6 +18,12 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 
 
+# Every lattice keeps n x n tables, so it has at most 2^12 elements (every
+# ground of <= 12 points).  On a 2-vCPU Xeon VM a 12-point convex ground's
+# tables took 7.7-7.9 s and 588 MB peak RSS, an 11-point one's 1.2 s, 174 MB.
+MAX_ELEMENTS = 1 << 12
+
+
 class NotALatticeError(InputError):
     """The given order lacks a join or meet for some pair."""
 
@@ -75,6 +81,8 @@ class FiniteLattice:
     def from_cover_pairs(cls, labels: Sequence[Hashable], covers: Sequence[tuple]) -> "FiniteLattice":
         """Build from a cover list (lower, upper); order is the reflexive
         transitive closure."""
+        if len(labels) > MAX_ELEMENTS:
+            raise ResourceLimitError(f"{len(labels)} lattice elements exceed {MAX_ELEMENTS}")
         idx = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
         leq = np.eye(n, dtype=bool)

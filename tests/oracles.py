@@ -22,7 +22,7 @@ from relconvex.analysis import (
     WEAK_ATOM_VIOLATION,
     Witness,
 )
-from relconvex.boolsub import check_simplex, full_mask, is_meet_closed
+from relconvex.boolsub import check_simplex, full_mask
 from relconvex.closure import FiniteGround
 from relconvex.embedding import _shrink_labeled
 from relconvex.errors import ConstructionError, InputError
@@ -38,6 +38,37 @@ from relconvex.geometry import (
 from relconvex.intervals import Interval, intersect_unions, union_intervals
 from relconvex.lattice import FiniteLattice, NotALatticeError
 from relconvex.segments import SubsegmentSet, seg_meet
+
+
+def is_meet_closed(family) -> bool:
+    fam = set(family)
+    return all(a & b in fam for a, b in itertools.combinations(fam, 2))
+
+
+def iter_meet_subsemilattices(n: int):
+    """All meet-closed families of subsets of {0..n}, the empty family
+    included, in increasing order of the family code: every one of the
+    2^(2^(n+1)) codes is tested."""
+    size = 1 << (n + 1)
+    for code in range(1 << size):
+        members = [m for m in range(size) if code >> m & 1]
+        if is_meet_closed(members):
+            yield frozenset(members)
+
+
+def family_code(family) -> int:
+    """Bit t set for each member t of the family."""
+    code = 0
+    for m in family:
+        code |= 1 << m
+    return code
+
+
+def all_families_lattice(n: int) -> FiniteLattice:
+    """The lattice of all meet-closed families of subsets of {0..n}, the
+    ones without the full set included, labelled by family code."""
+    return FiniteLattice.from_closed_masks(
+        [family_code(f) for f in iter_meet_subsemilattices(n)])
 
 
 def meet_closure(family) -> frozenset[int]:

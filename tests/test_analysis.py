@@ -22,7 +22,7 @@ from relconvex.analysis import (
     map_defects,
     find_m3,
 )
-from relconvex.closure import FiniteGround
+from relconvex.closure import FiniteGround, next_closure
 from relconvex.geometry import hull_member
 from relconvex.io import closure_table_from_json, ground_from_json
 from relconvex.lattice import FiniteLattice
@@ -167,6 +167,16 @@ def test_anti_exchange_matches_the_pair_scan_on_random_tables():
         violations += not assert_anti_exchange_matches_oracle(
             random_closure_table(rng, rng.randint(1, 5)))
     assert 0 < violations < 3000
+
+
+def test_next_closure_matches_the_table_scan_on_random_tables():
+    rng = random.Random(23)
+    nonempty_bottom = 0
+    for _ in range(1000):
+        t = random_closure_table(rng, rng.randint(0, 6))
+        nonempty_bottom += t.closure_mask(0) != 0
+        assert sorted(next_closure(t.n, t.closure_mask)) == t.enumerate_closed_masks()
+    assert 0 < nonempty_bottom < 1000
 
 
 def test_anti_exchange_matches_the_pair_scan_on_grounds_and_fixtures():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,16 +6,19 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import face_support, meet_closure, phi, psi
-from relconvex.boolsub import (
-    _family_code,
-    full_mask,
+from oracles import (
+    all_families_lattice,
+    face_support,
+    family_code,
     iter_meet_subsemilattices,
-    subm_lattice,
-    verify_claim_join,
+    meet_closure,
+    phi,
+    psi,
 )
+from relconvex.boolsub import full_mask, subm_lattice, verify_claim_join
 from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import VPolytope, interpolate, qp, standard_simplex
+from relconvex.lattice import FiniteLattice
 
 
 def contains(pieces, simplex, q) -> bool:
@@ -22,48 +26,51 @@ def contains(pieces, simplex, q) -> bool:
     return face_support(q, simplex) in pieces
 
 
-def brute_force_families(n):
-    """Oracle: filter every candidate family by the pairwise-meet test."""
-    size = 1 << (n + 1)
-    out = []
-    for code in range(1 << size):
-        members = {m for m in range(size) if code >> m & 1}
-        if all(x & y in members for x, y in itertools.combinations(members, 2)):
-            out.append(frozenset(members))
-    return out
+@functools.cache
+def families(n):
+    return list(iter_meet_subsemilattices(n))
 
 
 def test_enumerate_subm_n0():
-    # the 2-element chain: every one of its 4 families is meet-closed
-    fams = list(iter_meet_subsemilattices(0))
-    assert len(fams) == 4
-    assert sorted(map(sorted, fams)) == sorted(map(sorted, brute_force_families(0)))
+    # the 2-element chain: every one of its 4 families is meet-closed, and
+    # the two with the full set are the closure systems on one point
+    assert len(families(0)) == 4
+    assert subm_lattice(0).labels == [0b10, 0b11]
 
 
 def test_enumerate_subm_n1():
-    fams = list(iter_meet_subsemilattices(1))
-    assert len(fams) == 14
-    assert sorted(map(sorted, fams)) == sorted(map(sorted, brute_force_families(1)))
+    assert len(families(1)) == 14
+    assert subm_lattice(1).n == 7
 
 
 def test_enumerate_subm_n2_matches_bruteforce():
-    fams = list(iter_meet_subsemilattices(2))
-    oracle = brute_force_families(2)
-    assert len(fams) == len(oracle)
-    assert set(fams) == set(oracle)
-    # frozen golden count, first derived from the brute-force oracle; the
+    # frozen golden counts, first derived from the brute-force oracle; the
     # top-containing sub-count 61 agrees with the closure-system count on a
     # 3-element base set
-    assert len(fams) == 122
-    assert sum(1 for f in fams if full_mask(2) + 0 in f or 0b111 in f) == 61
+    assert len(families(2)) == 122
+    assert sum(1 for f in families(2) if full_mask(2) in f) == 61
+    assert subm_lattice(2).n == 61
+
+
+@pytest.mark.parametrize("n,total", [(0, 4), (1, 14), (2, 122), (3, 4960)])
+def test_subm_lattice_matches_the_brute_force_lattice(n, total):
+    # NextClosure lists exactly the top-containing families of the filter
+    # over all 2^(2^(n+1)) codes: same labels, order and tables
+    lat = subm_lattice(n)
+    ref = FiniteLattice.from_closed_masks(
+        [family_code(f) for f in families(n) if full_mask(n) in f])
+    assert lat.labels == ref.labels
+    assert (lat.leq == ref.leq).all()
+    assert (lat.join_table == ref.join_table).all()
+    assert (lat.meet_table == ref.meet_table).all()
+    # F -> F minus the full set is a bijection onto the families without it
+    assert 2 * lat.n == total == len(families(n))
 
 
 def test_enumerate_subm_resource_error():
-    # the iterator stops at n = 3
-    with pytest.raises(ResourceLimitError):
-        next(iter_meet_subsemilattices(4))
-    it = iter_meet_subsemilattices(3)
-    assert next(it) == frozenset()
+    # n = 4 has 1,385,552 families: the closed-set bound stops NextClosure
+    with pytest.raises(ResourceLimitError, match="more than 4096 closed sets"):
+        subm_lattice(4)
 
 
 def test_meet_closure_adds_intersection():
@@ -72,22 +79,22 @@ def test_meet_closure_adds_intersection():
 
 
 def test_subm_lattice_n1():
-    lat = subm_lattice(iter_meet_subsemilattices(1))
+    lat = all_families_lattice(1)
     assert lat.n == 14
     bot = lat.labels[lat.bottom()]
     top = lat.labels[int(np.flatnonzero(lat.leq.all(axis=0)).item())]
-    assert bot == _family_code(())
-    assert top == _family_code(range(4))
+    assert bot == family_code(())
+    assert top == family_code(range(4))
     # join of {{0}} and {{1}} must add the empty set
-    i = lat.labels.index(_family_code({0b01}))
-    j = lat.labels.index(_family_code({0b10}))
-    assert lat.labels[lat.join_table[i, j]] == _family_code({0b01, 0b10, 0})
+    i = lat.labels.index(family_code({0b01}))
+    j = lat.labels.index(family_code({0b10}))
+    assert lat.labels[lat.join_table[i, j]] == family_code({0b01, 0b10, 0})
     # meet with the empty family is the empty family
-    assert lat.labels[lat.meet_table[i, lat.bottom()]] == _family_code(())
+    assert lat.labels[lat.meet_table[i, lat.bottom()]] == family_code(())
 
 
 def test_subm_lattice_axioms_n1():
-    lat = subm_lattice(iter_meet_subsemilattices(1))
+    lat = all_families_lattice(1)
     lat._check_order()      # skipped by from_closed_masks, and still passes
     J, M = lat.join_table, lat.meet_table
     for a, b, c in itertools.product(range(lat.n), repeat=3):

@@ -1,12 +1,18 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from relconvex import io as rio
 from relconvex.cli import main
+from relconvex.lattice import MAX_ELEMENTS
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -194,6 +200,42 @@ def test_antiexchange_on_a_ground_honours_max_ground(capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": "resource-limit",
         "reason": "ground of size 4 exceeds the enumeration bound 2"}
+
+
+def parabola(k: int) -> dict:
+    """k points in convex position: 2^k closed sets."""
+    return {"type": "finite-ground", "points": [[str(i), str(i * i)] for i in range(k)]}
+
+
+CHAIN = MAX_ELEMENTS + 1
+OVERSIZED = {
+    "build-14-points": (["build"], parabola(14), 2),
+    "jsd-14-points": (["check", "jsd"], parabola(14), 2),
+    "antiexchange-13-points": (["check", "antiexchange"], parabola(13), 2),
+    "jsd-lattice-past-the-bound": (["check", "jsd"], {
+        "type": "lattice", "elements": list(range(CHAIN)),
+        "covers": [[i, i + 1] for i in range(CHAIN - 1)]}, 2),
+    "closure-table-huge-n": (["check", "antiexchange"], {
+        "type": "closure-table", "n": 10**12, "closure": {"0": 0}}, 1),
+}
+
+
+def _cap_address_space():
+    # runs in the child only, so an allocation past 2 GiB fails there
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_input_exits_fast_under_a_memory_cap(tmp_path, name):
+    argv, doc, code = OVERSIZED[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "relconvex.cli", *argv, "--input", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stderr)["error"] == {1: "input", 2: "resource-limit"}[code]
 
 
 def test_malformed_rational_exit_1(tmp_path, capsys):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import lattices
 from oracles import witness_table_reference
-from relconvex.closure import FiniteGround
+from relconvex.closure import FiniteGround, next_closure
 from relconvex.embedding import build_ground_set
 from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import caratheodory_witness, qp
-from relconvex.lattice import FiniteLattice
+from relconvex.lattice import MAX_ELEMENTS, FiniteLattice
 from relconvex.linalg import rref_int
 
 
@@ -82,6 +82,21 @@ def test_resource_bound():
     g = lattices.collinear_ground(range(8))
     with pytest.raises(ResourceLimitError):
         g.enumerate_closed_masks(max_ground=5)
+
+
+def test_next_closure_stops_past_the_element_bound():
+    # the Boolean lattice on 12 points has exactly MAX_ELEMENTS closed sets
+    assert len(next_closure(12, lambda mask: mask)) == MAX_ELEMENTS
+    with pytest.raises(ResourceLimitError, match=f"more than {MAX_ELEMENTS} closed sets"):
+        next_closure(13, lambda mask: mask)
+
+
+@pytest.mark.parametrize("k", [13, 16, 20])
+def test_convex_grounds_within_max_ground_stop_at_the_element_bound(k):
+    # points on a parabola are in convex position: 2^k closed sets
+    g = FiniteGround([(F(i), F(i * i)) for i in range(k)])
+    with pytest.raises(ResourceLimitError, match="closed sets"):
+        g.enumerate_closed_masks()
 
 
 def test_ground_rejects_duplicates():

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from relconvex.boolsub import face_generators, full_mask, iter_meet_subsemilattices
+from relconvex.boolsub import face_generators, full_mask
 from relconvex.closure import FiniteGround
 from relconvex.geometry import (
     MixedGenerators,
@@ -21,7 +21,7 @@ from relconvex.geometry import (
 from relconvex.intervals import Interval
 from relconvex.segments import SegmentUnionGround, SubsegmentSet, seg_closure
 
-from oracles import face_support, phi, supports_face
+from oracles import face_support, iter_meet_subsemilattices, phi, supports_face
 
 
 def test_cube_faces_against_lp_oracle():

@@ -574,7 +574,7 @@ def test_embedding_rejects_large_n():
     with pytest.raises(ResourceLimitError):
         build_embedding(3)
     with pytest.raises(ResourceLimitError):
-        build_embedding(4, allow_large=True)
+        build_embedding(4)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -619,11 +619,12 @@ def test_embedding_source_join_meet_semantics():
 def test_source_elements_are_the_sorted_family_members():
     # elements are labelled by family code, smaller families first; the
     # lattice document lists each family's sorted members
-    from relconvex.boolsub import _family_code, full_mask, iter_meet_subsemilattices
+    from oracles import family_code, iter_meet_subsemilattices
+    from relconvex.boolsub import full_mask
     from relconvex.io import lattice_to_json
 
     w = build_embedding(2)
     families = sorted((f for f in iter_meet_subsemilattices(2) if full_mask(2) in f),
-                      key=lambda f: (len(f), _family_code(f)))
-    assert w.source.labels == [_family_code(f) for f in families]
+                      key=lambda f: (len(f), family_code(f)))
+    assert w.source.labels == [family_code(f) for f in families]
     assert lattice_to_json(w.source)["elements"] == [sorted(f) for f in families]

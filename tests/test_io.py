@@ -12,9 +12,10 @@ from oracles import dumps_reference
 from relconvex import io as rio
 from relconvex.cli import main
 from relconvex.closure import FiniteGround
-from relconvex.errors import InputError
+from relconvex.errors import InputError, ResourceLimitError
 from relconvex.geometry import Segment, qp
 from relconvex.intervals import Interval
+from relconvex.lattice import MAX_ELEMENTS
 from relconvex.segments import SegmentUnionGround, SubsegmentSet
 
 
@@ -108,6 +109,23 @@ def test_segment_ground_declared_dim_contradicting_the_points_raises(dim):
         rio.segment_ground_from_json(doc)
     del doc["dim"]
     assert rio.segment_ground_from_json(doc).dim == 2
+
+
+@pytest.mark.parametrize("n,keys", [(10**12, 1), (3, 4), (2, 2), (-1, 0)],
+                         ids=["huge-n", "too-few", "half", "negative-n"])
+def test_closure_table_must_list_all_2_to_the_n_subsets(n, keys):
+    # counted before any 1 << n, so a huge n costs nothing
+    doc = {"type": "closure-table", "n": n, "closure": {str(m): m for m in range(keys)}}
+    with pytest.raises(InputError, match=f"lists {keys} subsets"):
+        rio.closure_table_from_json(doc)
+
+
+def test_lattice_document_past_the_element_bound_raises():
+    size = MAX_ELEMENTS + 1
+    doc = {"type": "lattice", "elements": list(range(size)),
+           "covers": [[i, i + 1] for i in range(size - 1)]}
+    with pytest.raises(ResourceLimitError, match=f"{size} lattice elements"):
+        rio.lattice_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 import lattices
-from oracles import closed_masks_generic_reference, lub_tables_reference, mask_tables_reference
+from oracles import (
+    closed_masks_generic_reference,
+    family_code,
+    iter_meet_subsemilattices,
+    lub_tables_reference,
+    mask_tables_reference,
+)
 from relconvex import lattice as lattice_module
-from relconvex.boolsub import _family_code, iter_meet_subsemilattices
 from relconvex.errors import InputError
 from relconvex.lattice import FiniteLattice, NotALatticeError
 from test_closure import random_ground
@@ -45,8 +50,8 @@ def closure_systems():
         yield f"ground{k}", g.enumerate_closed_masks()
     families = list(iter_meet_subsemilattices(2))
     full = 0b111
-    yield "n2-families", [_family_code(f) for f in families]
-    yield "n2-families-with-top", [_family_code(f) for f in families if full in f]
+    yield "n2-families", [family_code(f) for f in families]
+    yield "n2-families-with-top", [family_code(f) for f in families if full in f]
 
 
 @pytest.mark.parametrize("name,masks", list(closure_systems()))
