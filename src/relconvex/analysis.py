@@ -189,10 +189,20 @@ def check_anti_exchange(operator, closed: Optional[Sequence[int]] = None
     for closed A and distinct x, y outside A, x in cl(A+y) forbids
     y in cl(A+x).  Both hold iff cl(A+x) = cl(A+y), so the axiom says that
     y -> cl(A+y) is injective off A; the witness is the least pair (x, y)
-    with one closure.  ``closed`` lists the operator's closed sets when the
-    caller has enumerated them (say under a ground-size bound)."""
+    with one closure.  ``closed`` must list every closed set of the
+    operator; it defaults to the operator's own enumeration, and a caller
+    that has enumerated them (say under a ground-size bound) passes them.
+
+    The verdict needs no closure call: a closure system has the axiom iff
+    every closed set but the whole ground has a closed one-point extension
+    (Edelman & Jamison, "The theory of convex geometries", 1985, Thm 2.1).
+    Only a violation runs the scan that names the witness."""
     if closed is None:
         closed = operator.enumerate_closed_masks()
+    members, full = set(closed), (1 << operator.n) - 1
+    if all(A == full or any(not A >> y & 1 and (A | 1 << y) in members
+                            for y in range(operator.n)) for A in closed):
+        return True, None
     for A in closed:
         groups: dict[int, list[int]] = {}
         for y in range(operator.n):

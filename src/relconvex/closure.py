@@ -66,6 +66,7 @@ class FiniteGround:
         self.dim = dim
         self.n = len(pts)
         self._witnesses: Optional[list[list[int]]] = None
+        self._closed: Optional[list[int]] = None
 
     def __repr__(self):
         return f"FiniteGround({self.n} points in Q^{self.dim})"
@@ -114,11 +115,15 @@ class FiniteGround:
     # -- enumeration --------------------------------------------------------
 
     def enumerate_closed_masks(self, max_ground: int = DEFAULT_MAX_GROUND) -> list[int]:
-        """All closed sets, generated in lectic order (NextClosure)."""
+        """All closed sets, generated in lectic order (NextClosure) on the
+        first call and kept, as the witness table is; every call checks
+        ``max_ground`` and returns a fresh list."""
         if self.n > max_ground:
             raise ResourceLimitError(
                 f"ground of size {self.n} exceeds the enumeration bound {max_ground}")
-        return next_closure(self.n, self.closure_mask)
+        if self._closed is None:
+            self._closed = next_closure(self.n, self.closure_mask)
+        return list(self._closed)
 
     def scan_closed_masks(self) -> list[int]:
         """Reference enumeration: test every subset for being a fixpoint.

@@ -80,25 +80,49 @@ class FiniteLattice:
     @classmethod
     def from_cover_pairs(cls, labels: Sequence[Hashable], covers: Sequence[tuple]) -> "FiniteLattice":
         """Build from a cover list (lower, upper); order is the reflexive
-        transitive closure."""
+        transitive closure.  Each element's up-set is a bitset, its own bit
+        OR the up-sets of its upper covers, filled in one pass in reverse
+        topological order: transitive by construction, so only reflexivity
+        and antisymmetry are checked, and a cover cycle fails the latter."""
         if len(labels) > MAX_ELEMENTS:
             raise ResourceLimitError(f"{len(labels)} lattice elements exceed {MAX_ELEMENTS}")
         idx = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
-        leq = np.eye(n, dtype=bool)
+        lowers: list[list[int]] = [[] for _ in range(n)]
+        pending = [0] * n       # upper covers not yet done
         for lo, hi in covers:
-            leq[idx[lo], idx[hi]] = True
-        for k in range(n):      # Warshall: close under transitivity
-            leq |= leq[:, k, None] & leq[k]
-        return cls(labels, leq)
+            i, j = idx[lo], idx[hi]
+            if i != j:          # a self-loop adds nothing to a reflexive order
+                lowers[j].append(i)
+                pending[i] += 1
+        done = [i for i in range(n) if not pending[i]]
+        up = [1 << i for i in range(n)]
+        for j in done:          # grows as each element's last upper cover is done
+            for i in lowers[j]:
+                up[i] |= up[j]
+                pending[i] -= 1
+                if not pending[i]:
+                    done.append(i)
+        width = -(-n // 8)
+        rows = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
+        lat = cls.__new__(cls)
+        lat._setup(labels, np.unpackbits(rows.reshape(n, width), axis=1, count=n,
+                                         bitorder="little"))
+        if len(done) < n:       # what is left lies on or below a cover cycle
+            raise InputError("order not antisymmetric")
+        lat._check_order(skip_transitive=True)
+        return lat
 
     # -- basic structure -------------------------------------------------------
 
-    def _check_order(self):
+    def _check_order(self, skip_transitive: bool = False):
+        """Partial-order axioms; ``skip_transitive`` when that one holds by construction."""
         if not self.leq.diagonal().all():
             raise InputError("order not reflexive")
         if ((self.leq & self.leq.T) & ~np.eye(self.n, dtype=bool)).any():
             raise InputError("order not antisymmetric")
+        if skip_transitive:
+            return
         reach = (self.leq.astype(np.float64) @ self.leq.astype(np.float64)) > 0
         if (reach & ~self.leq).any():
             raise InputError("order not transitive")

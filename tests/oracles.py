@@ -549,6 +549,17 @@ def closed_masks_generic_reference(masks: Sequence[int]) -> FiniteLattice:
     return lat
 
 
+def cover_order_reference(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
+    """leq of the reflexive transitive closure of index cover pairs, by
+    Warshall's loop: one n x n AND per intermediate element."""
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in covers:
+        leq[lo, hi] = True
+    for k in range(n):
+        leq |= leq[:, k, None] & leq[k]
+    return leq
+
+
 def lub_tables_reference(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Join and meet tables of an order matrix by an unpacked search: the
     first common upper bound in a linear extension, checked to lie below

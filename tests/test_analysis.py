@@ -26,6 +26,7 @@ from relconvex.closure import FiniteGround, next_closure
 from relconvex.geometry import hull_member
 from relconvex.io import closure_table_from_json, ground_from_json
 from relconvex.lattice import FiniteLattice
+from test_closure import random_ground
 
 
 def brute_jsd(lat):
@@ -152,9 +153,9 @@ def random_closure_table(rng, n):
     return ClosureTable(n, table)
 
 
-def assert_anti_exchange_matches_oracle(operator):
-    ok, w = check_anti_exchange(operator)
-    ref_ok, ref_w = anti_exchange_reference(operator)
+def assert_anti_exchange_matches_oracle(operator, closed=None):
+    ok, w = check_anti_exchange(operator, closed)
+    ref_ok, ref_w = anti_exchange_reference(operator, closed)
     assert ok == ref_ok
     assert (w and w.to_json()) == (ref_w and ref_w.to_json())
     return ok
@@ -167,6 +168,29 @@ def test_anti_exchange_matches_the_pair_scan_on_random_tables():
         violations += not assert_anti_exchange_matches_oracle(
             random_closure_table(rng, rng.randint(1, 5)))
     assert 0 < violations < 3000
+
+
+def test_anti_exchange_matches_the_pair_scan_on_six_point_tables():
+    """The one-point-extension verdict, and the witness scan behind it, on
+    tables with and without a closed empty set."""
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(400):
+        t = random_closure_table(rng, 6)
+        ok = assert_anti_exchange_matches_oracle(t)
+        seen.add((ok, t.closure_mask(0) != 0))
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_anti_exchange_matches_the_pair_scan_on_given_closed_sets():
+    """The CLI's route: the closed sets enumerated first, then passed."""
+    rng = random.Random(25)
+    for _ in range(300):
+        t = random_closure_table(rng, rng.randint(0, 6))
+        assert_anti_exchange_matches_oracle(t, t.enumerate_closed_masks())
+    for _ in range(60):
+        g = random_ground(rng, rng.randint(1, 8), dim=rng.choice([1, 2, 3]))
+        assert assert_anti_exchange_matches_oracle(g, g.enumerate_closed_masks(max_ground=8))
 
 
 def test_next_closure_matches_the_table_scan_on_random_tables():
@@ -183,6 +207,10 @@ def test_anti_exchange_matches_the_pair_scan_on_grounds_and_fixtures():
     rng = random.Random(20)
     for _ in range(200):
         assert assert_anti_exchange_matches_oracle(random_planar_ground(rng, rng.randint(3, 7)))
+    for dim in (1, 3):
+        for _ in range(60):
+            g = random_ground(rng, rng.randint(1, 7), dim=dim)
+            assert assert_anti_exchange_matches_oracle(g)
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     table = closure_table_from_json(json.loads((fixtures / "exchange_table.json").read_text()))
     assert not assert_anti_exchange_matches_oracle(table)

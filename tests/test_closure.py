@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import lattices
 from oracles import witness_table_reference
+from relconvex import closure as closure_module
+from relconvex.analysis import check_anti_exchange
 from relconvex.closure import FiniteGround, next_closure
 from relconvex.embedding import build_ground_set
 from relconvex.errors import InputError, ResourceLimitError
@@ -82,6 +84,11 @@ def test_resource_bound():
     g = lattices.collinear_ground(range(8))
     with pytest.raises(ResourceLimitError):
         g.enumerate_closed_masks(max_ground=5)
+    closed = g.enumerate_closed_masks()
+    # the kept enumeration still answers to the bound of every call
+    with pytest.raises(ResourceLimitError, match="exceeds the enumeration bound 5"):
+        g.enumerate_closed_masks(max_ground=5)
+    assert g.enumerate_closed_masks(max_ground=8) == closed
 
 
 def test_next_closure_stops_past_the_element_bound():
@@ -89,6 +96,30 @@ def test_next_closure_stops_past_the_element_bound():
     assert len(next_closure(12, lambda mask: mask)) == MAX_ELEMENTS
     with pytest.raises(ResourceLimitError, match=f"more than {MAX_ELEMENTS} closed sets"):
         next_closure(13, lambda mask: mask)
+
+
+def test_anti_exchange_and_lattice_share_one_enumeration(monkeypatch):
+    runs = []
+
+    def counted(n, closure):
+        runs.append(n)
+        return next_closure(n, closure)
+
+    monkeypatch.setattr(closure_module, "next_closure", counted)
+    g = random_ground(random.Random(41), 7)
+    assert check_anti_exchange(g) == (True, None)
+    lat = g.lattice()
+    assert runs == [7]
+    assert sorted(lat.labels) == sorted(g.scan_closed_masks())
+
+
+def test_enumeration_returns_a_fresh_list():
+    g = random_ground(random.Random(42), 6)
+    first = g.enumerate_closed_masks()
+    expected = list(first)
+    first.reverse()
+    first.append(-1)
+    assert g.enumerate_closed_masks() == expected
 
 
 @pytest.mark.parametrize("k", [13, 16, 20])

@@ -10,6 +10,7 @@ import pytest
 import lattices
 from oracles import (
     closed_masks_generic_reference,
+    cover_order_reference,
     family_code,
     iter_meet_subsemilattices,
     lub_tables_reference,
@@ -100,6 +101,40 @@ def random_order(rng, n):
         leq = leq | ((leq.astype(int) @ leq.astype(int)) > 0)
     perm = np.array(rng.sample(range(n), n))
     return leq[np.ix_(perm, perm)]
+
+
+def random_covers(rng, n, cyclic=False):
+    """Random index pairs, lower to upper in a random linear order, with
+    repeats and self-loops; with ``cyclic``, plus a cycle of 2-4 elements."""
+    rank = rng.sample(range(n), n)
+    pairs = [(rank[i], rank[j]) for i in range(n) for j in range(i, n) if rng.random() < 0.25]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    if cyclic:
+        ring = rng.sample(range(n), rng.randint(2, min(n, 4)))
+        pairs += list(zip(ring, ring[1:] + ring[:1]))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_cover_pairs_order_matches_warshall():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        covers = random_covers(rng, n)
+        labels = [f"e{i}" for i in range(n)]
+        lat = FiniteLattice.from_cover_pairs(labels, [(labels[i], labels[j]) for i, j in covers])
+        assert (lat.leq == cover_order_reference(n, covers)).all()
+
+
+def test_cover_cycles_are_not_antisymmetric():
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        covers = random_covers(rng, n, cyclic=True)
+        leq = cover_order_reference(n, covers)
+        assert ((leq & leq.T) & ~np.eye(n, dtype=bool)).any()
+        with pytest.raises(InputError, match="order not antisymmetric"):
+            FiniteLattice.from_cover_pairs(list(range(n)), covers)
 
 
 @pytest.mark.parametrize("seed", range(4))
