@@ -82,8 +82,9 @@ class FiniteLattice:
         """Build from a cover list (lower, upper); order is the reflexive
         transitive closure.  Each element's up-set is a bitset, its own bit
         OR the up-sets of its upper covers, filled in one pass in reverse
-        topological order: transitive by construction, so only reflexivity
-        and antisymmetry are checked, and a cover cycle fails the latter."""
+        topological order.  That is reflexive and transitive by construction,
+        and antisymmetric once every element is done, as only a cover cycle
+        (or what lies below one) stays undone; so no axiom is rechecked."""
         if len(labels) > MAX_ELEMENTS:
             raise ResourceLimitError(f"{len(labels)} lattice elements exceed {MAX_ELEMENTS}")
         idx = {lab: i for i, lab in enumerate(labels)}
@@ -110,19 +111,15 @@ class FiniteLattice:
                                          bitorder="little"))
         if len(done) < n:       # what is left lies on or below a cover cycle
             raise InputError("order not antisymmetric")
-        lat._check_order(skip_transitive=True)
         return lat
 
     # -- basic structure -------------------------------------------------------
 
-    def _check_order(self, skip_transitive: bool = False):
-        """Partial-order axioms; ``skip_transitive`` when that one holds by construction."""
+    def _check_order(self):
         if not self.leq.diagonal().all():
             raise InputError("order not reflexive")
         if ((self.leq & self.leq.T) & ~np.eye(self.n, dtype=bool)).any():
             raise InputError("order not antisymmetric")
-        if skip_transitive:
-            return
         reach = (self.leq.astype(np.float64) @ self.leq.astype(np.float64)) > 0
         if (reach & ~self.leq).any():
             raise InputError("order not transitive")
