@@ -9,22 +9,21 @@ relatively convex sets.  All geometry runs in exact rational arithmetic.
 """
 
 from .analysis import (
-    ClosureTable,
     Witness,
     check_anti_exchange,
     check_biatomic,
     check_distributive,
     check_jsd,
     check_lower_bounded,
+    check_m3,
     check_weak_atom_property,
     d_relation,
-    find_m3,
 )
 from .boolsub import (
     subm_lattice,
     verify_claim_join,
 )
-from .closure import FiniteGround
+from .closure import ClosureTable, FiniteGround
 from .embedding import (
     build_construction,
     build_embedding,

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
 from .lattice import FiniteLattice
 
 SDV_VIOLATION = "sdv-violation"
@@ -124,12 +123,13 @@ def check_biatomic(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
     return _first_triple(BIATOMICITY_VIOLATION, rows())
 
 
-def find_m3(lat: FiniteLattice) -> Optional[Witness]:
-    """Five elements forming a diamond sublattice, or None.  M3 is not
-    SD-join and sublattices keep SD-join, so an SD-join lattice has none."""
+def check_m3(lat: FiniteLattice) -> tuple[bool, Optional[Witness]]:
+    """No five elements form a diamond sublattice; the witness is the first
+    one found.  M3 is not SD-join and sublattices keep SD-join, so an
+    SD-join lattice has none."""
     J, M, leq = lat.join_table, lat.meet_table, lat.leq
     if _kappa_jsd(lat):
-        return None
+        return True, None
     incomp = ~leq & ~leq.T
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
@@ -142,56 +142,25 @@ def find_m3(lat: FiniteLattice) -> Optional[Witness]:
             cand[: b + 1] = False
             if cand.any():
                 c = int(np.argmax(cand))
-                return Witness(M3_SUBLATTICE, [int(m), a, b, c, int(j)],
-                               {"roles": ["bottom", "a", "b", "c", "top"]})
-    return None
+                return False, Witness(M3_SUBLATTICE, [int(m), a, b, c, int(j)],
+                                      {"roles": ["bottom", "a", "b", "c", "top"]})
+    return True, None
 
 
 # ---------------------------------------------------------------------------
 # anti-exchange
 
 
-class ClosureTable:
-    """Explicit closure operator on {0..n-1}, for abstract counterexamples."""
-
-    def __init__(self, n: int, table: dict[int, int]):
-        self.n = n
-        self._table = dict(table)
-        for mask in self._table:
-            if mask < 0 or mask.bit_length() > n:
-                raise InputError(f"closure table key {mask} is not a subset of {n} points")
-        # distinct subset keys list all 2^n iff there are 2^n; a huge n fails before the shift
-        count = len(self._table)
-        if not 0 <= n < count.bit_length() or count != 1 << n:
-            raise InputError(f"closure table lists {count} subsets, not the 2^{n} of {n} points")
-        for mask in range(count):
-            cl = self._table[mask]
-            if cl & mask != mask:
-                raise InputError("closure table not extensive")
-            if self._table.get(cl) != cl:
-                raise InputError("closure table not idempotent")
-        for mask in range(count):
-            for i in range(n):
-                sup = mask | (1 << i)
-                if self._table[mask] & self._table[sup] != self._table[mask]:
-                    raise InputError("closure table not monotone")
-
-    def closure_mask(self, mask: int) -> int:
-        return self._table[mask]
-
-    def enumerate_closed_masks(self) -> list[int]:
-        return [m for m in range(1 << self.n) if self._table[m] == m]
-
-
 def check_anti_exchange(operator, closed: Optional[Sequence[int]] = None
                         ) -> tuple[bool, Optional[Witness]]:
-    """Anti-exchange axiom for a closure operator (FiniteGround or table):
-    for closed A and distinct x, y outside A, x in cl(A+y) forbids
-    y in cl(A+x).  Both hold iff cl(A+x) = cl(A+y), so the axiom says that
-    y -> cl(A+y) is injective off A; the witness is the least pair (x, y)
-    with one closure.  ``closed`` must list every closed set of the
-    operator; it defaults to the operator's own enumeration, and a caller
-    that has enumerated them (say under a ground-size bound) passes them.
+    """Anti-exchange axiom for a closure operator (a FiniteGround or
+    ClosureTable of :mod:`relconvex.closure`): for closed A and distinct
+    x, y outside A, x in cl(A+y) forbids y in cl(A+x).  Both hold iff
+    cl(A+x) = cl(A+y), so the axiom says that y -> cl(A+y) is injective off
+    A; the witness is the least pair (x, y) with one closure.  ``closed``
+    must list every closed set of the operator; it defaults to the
+    operator's own enumeration, and a caller that has enumerated them (say
+    under a ground-size bound) passes them.
 
     The verdict needs no closure call: a closure system has the axiom iff
     every closed set but the whole ground has a closed one-point extension
@@ -275,9 +244,9 @@ def map_defects(source: FiniteLattice, closure, image: Sequence[int]
                 ) -> dict[str, Optional[Witness]]:
     """First witness against each embedding property of the map sending
     source element i to the closed-set mask ``image[i]`` of ``closure`` (a
-    FiniteGround or ClosureTable).  Keys, in report order: "image-not-closed",
-    "not-injective", "join-not-preserved", "meet-not-preserved"; a value is
-    None when the property holds.
+    FiniteGround or ClosureTable of :mod:`relconvex.closure`).  Keys, in
+    report order: "image-not-closed", "not-injective", "join-not-preserved",
+    "meet-not-preserved"; a value is None when the property holds.
 
     The target's meet is AND and its join the closure of the union.  Joins
     are checked against the source's join-irreducibles j only: a = 0 gives

@@ -1,4 +1,5 @@
-"""Finite ground sets and their closure operator Y -> hull(Y) ∩ X.
+"""Finite ground sets and their closure operator Y -> hull(Y) ∩ X, and
+explicit closure tables for abstract operators.
 
 Closed subsets are represented as bitmasks over the ground's point indices.
 Membership witnesses are precomputed once per ground: for every point x the
@@ -138,3 +139,35 @@ class FiniteGround:
 
     def lattice(self, max_ground: int = DEFAULT_MAX_GROUND) -> FiniteLattice:
         return FiniteLattice.from_closed_masks(self.enumerate_closed_masks(max_ground))
+
+
+class ClosureTable:
+    """Explicit closure operator on {0..n-1}, for abstract counterexamples."""
+
+    def __init__(self, n: int, table: dict[int, int]):
+        self.n = n
+        self._table = dict(table)
+        for mask in self._table:
+            if mask < 0 or mask.bit_length() > n:
+                raise InputError(f"closure table key {mask} is not a subset of {n} points")
+        # distinct subset keys list all 2^n iff there are 2^n; a huge n fails before the shift
+        count = len(self._table)
+        if not 0 <= n < count.bit_length() or count != 1 << n:
+            raise InputError(f"closure table lists {count} subsets, not the 2^{n} of {n} points")
+        for mask in range(count):
+            cl = self._table[mask]
+            if cl & mask != mask:
+                raise InputError("closure table not extensive")
+            if self._table.get(cl) != cl:
+                raise InputError("closure table not idempotent")
+        for mask in range(count):
+            for i in range(n):
+                sup = mask | (1 << i)
+                if self._table[mask] & self._table[sup] != self._table[mask]:
+                    raise InputError("closure table not monotone")
+
+    def closure_mask(self, mask: int) -> int:
+        return self._table[mask]
+
+    def enumerate_closed_masks(self) -> list[int]:
+        return [m for m in range(1 << self.n) if self._table[m] == m]

@@ -207,10 +207,7 @@ def _supports(gens: MixedGenerators):
         else:
             always.append(group)
     for verts in gens.open_faces:
-        if len(verts) == 1:
-            always.append([(verts[0], False)])
-        else:
-            optional.append([(v, True) for v in verts])
+        optional.append([(v, True) for v in verts])
     for r in range(len(optional) + 1):
         for chosen in itertools.combinations(optional, r):
             if always or chosen:

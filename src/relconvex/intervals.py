@@ -36,15 +36,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, v: Fraction) -> bool:
-        if v < self.lo or v > self.hi:
-            return False
-        if v == self.lo and not self.lo_closed:
-            return False
-        if v == self.hi and not self.hi_closed:
-            return False
-        return True
-
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         if self.lo > other.lo:
             lo, lo_c = self.lo, self.lo_closed

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .closure import FiniteGround
+from .closure import ClosureTable, FiniteGround
 from .errors import InputError
 from .geometry import Point, Segment, VPolytope
 from .intervals import Interval
@@ -175,9 +175,7 @@ def subsegment_triples_from_json(ground: SegmentUnionGround, doc: dict) -> list[
 
 
 @_document
-def closure_table_from_json(data: dict):
-    from .analysis import ClosureTable
-
+def closure_table_from_json(data: dict) -> ClosureTable:
     if data.get("type") != "closure-table":
         raise InputError("expected a closure-table document")
     n = _int(data["n"], "closure-table n")

@@ -29,9 +29,7 @@ class NotALatticeError(InputError):
 
 
 class FiniteLattice:
-    def __init__(self, labels: Sequence[Hashable], leq: np.ndarray):
-        self._setup(labels, leq)
-        self._check_order()
+    """Built by ``from_cover_pairs`` or ``from_closed_masks`` only."""
 
     def _setup(self, labels: Sequence[Hashable], leq: np.ndarray):
         self.labels = list(labels)
@@ -114,15 +112,6 @@ class FiniteLattice:
         return lat
 
     # -- basic structure -------------------------------------------------------
-
-    def _check_order(self):
-        if not self.leq.diagonal().all():
-            raise InputError("order not reflexive")
-        if ((self.leq & self.leq.T) & ~np.eye(self.n, dtype=bool)).any():
-            raise InputError("order not antisymmetric")
-        reach = (self.leq.astype(np.float64) @ self.leq.astype(np.float64)) > 0
-        if (reach & ~self.leq).any():
-            raise InputError("order not transitive")
 
     def bottom(self) -> int:
         rows = np.nonzero(self.leq.all(axis=1))[0]

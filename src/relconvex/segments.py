@@ -122,9 +122,6 @@ class SubsegmentSet:
                 parts.append(f"{i}:{lo}{iv.lo},{iv.hi}{hi}")
         return "SubsegmentSet(" + " ".join(parts) + ")"
 
-    def contains(self, carrier: int, t: Fraction) -> bool:
-        return any(iv.contains(t) for iv in self.pieces[carrier])
-
     def as_generators(self) -> Optional[MixedGenerators]:
         pieces = [carrier.piece(iv)
                   for carrier, ivs in zip(self.ground.segments, self.pieces) for iv in ivs]

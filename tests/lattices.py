@@ -4,19 +4,19 @@ live here, not in the package, because nothing in the package calls them."""
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from relconvex.closure import FiniteGround
 from relconvex.lattice import FiniteLattice
 
 
 def chain(k: int) -> FiniteLattice:
-    return FiniteLattice(list(range(k)), np.triu(np.ones((k, k), dtype=bool)))
+    return FiniteLattice.from_cover_pairs(list(range(k)), [(i, i + 1) for i in range(k - 1)])
 
 
 def boolean(k: int) -> FiniteLattice:
-    E = np.arange(1 << k)
-    return FiniteLattice(E.tolist(), (E[None, :] & E[:, None]) == E[:, None])
+    """Element i is the subset with mask i."""
+    return FiniteLattice.from_cover_pairs(
+        list(range(1 << k)), [(m, m | 1 << b) for m in range(1 << k) for b in range(k)
+                              if not m >> b & 1])
 
 
 def m3() -> FiniteLattice:

@@ -387,6 +387,25 @@ def caratheodory_reference(q: Point, pts: Sequence[Point]):
 
 
 # ---------------------------------------------------------------------------
+# point sets of intervals
+
+
+def interval_contains(iv: Interval, v: Fraction) -> bool:
+    """Whether the parameter v lies in the interval, by its endpoints."""
+    if v < iv.lo or v > iv.hi:
+        return False
+    if v == iv.lo and not iv.lo_closed:
+        return False
+    if v == iv.hi and not iv.hi_closed:
+        return False
+    return True
+
+
+def pieces_contain(pieces: Sequence[Interval], v: Fraction) -> bool:
+    return any(interval_contains(iv, v) for iv in pieces)
+
+
+# ---------------------------------------------------------------------------
 # carrier-overlap algebra: the canonical form of a subsegment set computed by
 # mapping pieces between carriers through their parametric overlaps
 
@@ -479,8 +498,8 @@ def propagated_pieces(segments: Sequence[Segment], pieces) -> tuple:
             current_i = pieces[i]
             if ov.kind == "point":
                 t, u = ov.t_self, ov.t_other
-                if any(iv.contains(t) for iv in current_i) and dom_j.contains(u):
-                    if not any(iv.contains(u) for iv in pieces[j]):
+                if pieces_contain(current_i, t) and interval_contains(dom_j, u):
+                    if not pieces_contain(pieces[j], u):
                         pieces[j] = list(union_intervals(pieces[j] + [Interval.point(u)]))
                         changed = True
             else:
@@ -543,7 +562,7 @@ def closed_masks_generic_reference(masks: Sequence[int]) -> FiniteLattice:
     is no closure system raises the first fault's NotALatticeError."""
     order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
     E = np.array(order, dtype=np.int64)
-    lat = FiniteLattice(order, (E[None, :] & E[:, None]) == E[:, None])
+    lat = order_lattice(order, (E[None, :] & E[:, None]) == E[:, None])
     if (E[lat.meet_table] != E[:, None] & E).any():
         raise NotALatticeError("intersection of closed sets not closed")
     return lat
@@ -558,6 +577,21 @@ def cover_order_reference(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarr
     for k in range(n):
         leq |= leq[:, k, None] & leq[k]
     return leq
+
+
+def inclusion_order_reference(masks: Sequence[int]) -> np.ndarray:
+    """leq[i, j] iff masks[i] is a subset of masks[j], pair by pair on
+    Python ints; a partial order when the masks are distinct."""
+    return np.array([[a & b == a for b in masks] for a in masks], dtype=bool)
+
+
+def order_lattice(labels: Sequence, leq: np.ndarray) -> FiniteLattice:
+    """The lattice of a partial order matrix, built from every comparable
+    pair as a cover: their reflexive transitive closure is ``leq`` again, so
+    the generic join and meet search runs on ``leq`` itself."""
+    labels = list(labels)
+    return FiniteLattice.from_cover_pairs(
+        labels, [(labels[i], labels[j]) for i, j in zip(*np.nonzero(leq))])
 
 
 def lub_tables_reference(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

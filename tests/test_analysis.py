@@ -9,20 +9,19 @@ import pytest
 import lattices
 from oracles import anti_exchange_reference, map_defects_reference
 from relconvex.analysis import (
-    ClosureTable,
     Witness,
     check_anti_exchange,
     check_biatomic,
     check_distributive,
     check_jsd,
     check_lower_bounded,
+    check_m3,
     check_weak_atom_property,
     d_relation,
     find_d_cycle,
     map_defects,
-    find_m3,
 )
-from relconvex.closure import FiniteGround, next_closure
+from relconvex.closure import ClosureTable, FiniteGround, next_closure
 from relconvex.geometry import hull_member
 from relconvex.io import closure_table_from_json, ground_from_json
 from relconvex.lattice import FiniteLattice
@@ -316,8 +315,8 @@ def test_biatomic_violation_witness_revalidates():
 # --- M3 detection ---------------------------------------------------------------
 
 def test_find_m3_in_m3():
-    w = find_m3(lattices.m3())
-    assert w is not None
+    ok, w = check_m3(lattices.m3())
+    assert not ok and w is not None
     bot, a, b, c, top = w.elements
     lat = lattices.m3()
     for u, v in itertools.combinations([a, b, c], 2):
@@ -326,7 +325,7 @@ def test_find_m3_in_m3():
 
 
 def test_find_m3_absent_in_boolean():
-    assert find_m3(lattices.boolean(3)) is None
+    assert check_m3(lattices.boolean(3)) == (True, None)
 
 
 def test_find_m3_iff_not_jsd_on_corpus():
@@ -338,7 +337,7 @@ def test_find_m3_iff_not_jsd_on_corpus():
     for lat in corpus:
         if lat.n > 50:
             continue
-        has_m3 = find_m3(lat) is not None
+        has_m3 = not check_m3(lat)[0]
         jsd, _ = check_jsd(lat)
         if has_m3:
             assert not jsd

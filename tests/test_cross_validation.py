@@ -21,7 +21,7 @@ from relconvex.geometry import (
 from relconvex.intervals import Interval
 from relconvex.segments import SegmentUnionGround, SubsegmentSet, seg_closure
 
-from oracles import face_support, iter_meet_subsemilattices, phi, supports_face
+from oracles import face_support, iter_meet_subsemilattices, phi, pieces_contain, supports_face
 
 
 def test_cube_faces_against_lp_oracle():
@@ -88,7 +88,7 @@ def test_segment_intersection_brute_parameter_scan():
         ivs = segment_hull_param_intervals(seg, tri_gens)
         for k in range(0, 49):
             t = F(k, 48)
-            assert any(iv.contains(t) for iv in ivs) == strict_hull_member(seg.at(t), tri_gens)
+            assert pieces_contain(ivs, t) == strict_hull_member(seg.at(t), tri_gens)
 
 
 def test_phi_traces_match_strict_membership_n2():
@@ -128,4 +128,4 @@ def test_closure_of_point_pieces_matches_finite_ground():
     cl = seg_closure(y)
     for i in range(2):
         for t in params:
-            assert cl.contains(i, t) == (g.segments[i].at(t) in members)
+            assert pieces_contain(cl.pieces[i], t) == (g.segments[i].at(t) in members)

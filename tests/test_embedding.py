@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -498,6 +499,16 @@ def test_embedding_n1_fully_verified():
     # bottom goes to the empty trace
     bot = w.source.bottom()
     assert w.image[bot] == 0
+
+
+def test_a_non_closed_image_is_not_verified():
+    """map_defects lets a non-closed image of a join-irreducible pass the
+    join check when the bottom maps to 0 (the union is then the image), so
+    only image_closed and embedding_verified may be false."""
+    w = build_embedding(1)
+    assert w.verified
+    report = {**w.report, "image_closed": False, "embedding_verified": False}
+    assert not dataclasses.replace(w, report=report).verified
 
 
 def test_embedding_n2_embeds_but_target_not_lower_bounded():

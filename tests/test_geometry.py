@@ -20,7 +20,7 @@ from relconvex.geometry import (
 )
 from relconvex.intervals import Interval
 
-from oracles import affine_span_dim, caratheodory_reference, supports_face
+from oracles import affine_span_dim, caratheodory_reference, pieces_contain, supports_face
 
 TRIANGLE = [qp(0, 0), qp(1, 0), qp(0, 1)]
 
@@ -170,6 +170,37 @@ def test_strict_open_face_center_only():
     assert not strict_hull_member(qp("1/2", 0), gens)      # edge point excluded
 
 
+def test_one_vertex_open_face_is_the_closed_point():
+    """The relative interior of a point is the point: as an open face it is
+    one optional strict atom, whose supports give the closed point's hull."""
+    rng = random.Random(53)
+
+    def pt(scale=1):
+        return tuple(F(rng.randint(-3 * scale, 3 * scale), scale) for _ in range(2))
+
+    answers = set()
+    for k in range(40):
+        a, b = pt(), pt()
+        rest = {}
+        if a != b and k % 4:
+            rest["segments"] = (Segment(a, b, rng.random() < 0.5, k % 2 == 0),)
+        if k % 3 == 0:
+            rest["open_faces"] = ((pt(), pt(), pt()),)
+        p = pt()
+        as_face = MixedGenerators(open_faces=((p,),) + rest.get("open_faces", ()),
+                                  segments=rest.get("segments", ()))
+        as_point = MixedGenerators(points=(p,), **rest)
+        for q in (p, a, b, pt(2)):
+            answers.add(strict_hull_member(q, as_face))
+            assert strict_hull_member(q, as_face) == strict_hull_member(q, as_point)
+        s, t = pt(), pt()
+        if s != t:
+            seg = Segment(s, t)
+            assert (segment_hull_param_intervals(seg, as_face)
+                    == segment_hull_param_intervals(seg, as_point))
+    assert answers == {True, False}
+
+
 # --- faces -------------------------------------------------------------------
 
 def test_faces_segment():
@@ -308,7 +339,7 @@ def test_segment_intersection_pointwise_consistency():
         assert iv1.intersect(iv2) is None
     for _ in range(50):
         t = F(rng.randint(0, 60), 60)
-        inside = any(iv.contains(t) for iv in ivs)
+        inside = pieces_contain(ivs, t)
         assert inside == strict_hull_member(seg.at(t), gens)
 
 

@@ -1,8 +1,8 @@
 """Join-semidistributivity by the κ test, against the triple scan it replaces.
 
 ``check_jsd`` takes its verdict from the meet-irreducibles and runs the scan
-only to name a witness, and ``find_m3`` returns None at once on an SD-join
-lattice.  The differential corpus compares both with the scans kept in
+only to name a witness, and ``check_m3`` returns (True, None) at once on an
+SD-join lattice.  The differential corpus compares both with the scans kept in
 ``oracles.py``: seeded random intersection-closed families, M3, N5, B3, the
 4-chain and the 600-element ``large-lattices`` benchmark templates.  On every
 lattice that is not SD-join the witness must be the scan's, triple for triple.
@@ -17,7 +17,7 @@ import pytest
 import lattices
 from oracles import find_m3_reference, jsd_scan_reference
 from relconvex import io as rio
-from relconvex.analysis import check_jsd, find_m3
+from relconvex.analysis import check_jsd, check_m3
 from relconvex.closure import FiniteGround
 from relconvex.lattice import FiniteLattice, NotALatticeError
 from test_cli import NON_LATTICES
@@ -80,13 +80,22 @@ def test_large_templates_match_scan(template_lattice):
     assert assert_matches_scan(template_lattice)
 
 
+def m3_reference(lat):
+    """The pair loop's diamond in the (ok, witness) shape of the checks."""
+    witness = find_m3_reference(lat)
+    return witness is None, witness
+
+
 def test_find_m3_matches_pair_loop_on_small_lattices(random_lattices):
+    found = 0
     for lat in [make() for make in NAMED.values()] + random_lattices:
-        assert find_m3(lat) == find_m3_reference(lat)
+        assert check_m3(lat) == m3_reference(lat)
+        found += not check_m3(lat)[0]
+    assert found
 
 
 def test_find_m3_matches_pair_loop_on_large_templates(template_lattice):
-    assert find_m3(template_lattice) is find_m3_reference(template_lattice) is None
+    assert check_m3(template_lattice) == m3_reference(template_lattice) == (True, None)
 
 
 # the empty order and the cover cycle fail when built, before any check
@@ -95,7 +104,7 @@ def test_find_m3_matches_pair_loop_on_large_templates(template_lattice):
 def test_non_lattice_raises_at_the_api(name):
     elements, covers, reason = NON_LATTICES[name]
     lat = FiniteLattice.from_cover_pairs(elements, [(elements[a], elements[b]) for a, b in covers])
-    for check in (check_jsd, find_m3):
+    for check in (check_jsd, check_m3):
         with pytest.raises(NotALatticeError) as err:
             check(lat)
         assert str(err.value) == reason

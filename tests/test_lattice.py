@@ -12,9 +12,11 @@ from oracles import (
     closed_masks_generic_reference,
     cover_order_reference,
     family_code,
+    inclusion_order_reference,
     iter_meet_subsemilattices,
     lub_tables_reference,
     mask_tables_reference,
+    order_lattice,
 )
 from relconvex import lattice as lattice_module
 from relconvex.errors import InputError
@@ -147,11 +149,12 @@ def test_random_orders_fail_with_the_reference_reason(seed, blocks):
             expected = lub_tables_reference(leq)
         except NotALatticeError as exc:
             with pytest.raises(NotALatticeError) as got:
-                FiniteLattice(range(len(leq)), leq).join_table
+                order_lattice(range(len(leq)), leq).join_table
             assert str(got.value) == str(exc)
             reasons.add(str(exc))
             continue
-        lat = FiniteLattice(range(len(leq)), leq)
+        lat = order_lattice(range(len(leq)), leq)
+        assert (lat.leq == leq).all()
         assert (lat.join_table == expected[0]).all()
         assert (lat.meet_table == expected[1]).all()
     assert len(reasons) >= 2
@@ -169,10 +172,10 @@ def test_intersection_closed_families_match_both_references(blocks):
     families = [[0]] + [intersection_closed_family(rng, rng.randint(1, 7)) for _ in range(120)]
     for masks in families:
         lat = FiniteLattice.from_closed_masks(masks)
-        lat._check_order()      # skipped by from_closed_masks, and still passes
         order, join, meet = mask_tables_reference(masks)
         assert lat.labels == order
-        generic = FiniteLattice(lat.labels, lat.leq)
+        assert (lat.leq == inclusion_order_reference(order)).all()
+        generic = order_lattice(lat.labels, lat.leq)
         for tables in (lat, generic):
             assert (tables.join_table == join).all()
             assert (tables.meet_table == meet).all()
@@ -228,7 +231,7 @@ def test_signed_masks_match_the_generic_search():
             assert str(got.value) == str(exc)
             continue
         lat = FiniteLattice.from_closed_masks(masks)
-        lat._check_order()
+        assert (lat.leq == inclusion_order_reference(lat.labels)).all()
         assert (lat.join_table == expected.join_table).all()
         assert (lat.meet_table == expected.meet_table).all()
 
@@ -237,11 +240,18 @@ def test_empty_order_is_no_lattice():
     with pytest.raises(NotALatticeError, match="lattice without elements"):
         FiniteLattice.from_closed_masks([])
     with pytest.raises(NotALatticeError, match="lattice without elements"):
-        FiniteLattice([], np.zeros((0, 0), dtype=bool))
+        FiniteLattice.from_cover_pairs([], [])
 
 
 def test_duplicate_labels_rejected():
     with pytest.raises(InputError, match="duplicate element labels"):
-        FiniteLattice(["a", "a"], np.triu(np.ones((2, 2), dtype=bool)))
+        FiniteLattice.from_cover_pairs(["a", "a"], [])
     with pytest.raises(InputError, match="duplicate closed sets"):
         FiniteLattice.from_closed_masks([0, 1, 1])
+
+
+def test_no_constructor_takes_an_unchecked_order():
+    """An order matrix enters only as cover pairs, which close to a partial
+    order or fail; a matrix passed to the class itself is refused."""
+    with pytest.raises(TypeError):
+        FiniteLattice([0, 1], np.triu(np.ones((2, 2), dtype=bool)))

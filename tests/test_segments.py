@@ -4,7 +4,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from oracles import face_restriction_reference, overlapping_pair, propagated_pieces
+from oracles import (
+    face_restriction_reference,
+    overlapping_pair,
+    pieces_contain,
+    propagated_pieces,
+)
 
 from relconvex import acceptance
 
@@ -113,8 +118,8 @@ def test_closure_idempotent_and_extensive():
         # extensive
         for i in range(3):
             for t in (F(k, 16) for k in range(17)):
-                if y.contains(i, t):
-                    assert cl.contains(i, t)
+                if pieces_contain(y.pieces[i], t):
+                    assert pieces_contain(cl.pieces[i], t)
         # idempotent
         assert seg_closure(cl) == cl
 
@@ -139,8 +144,8 @@ def test_closure_monotone_on_nested_pairs():
         cs, cb = seg_closure(small), seg_closure(big)
         for i in range(g.k):
             for t in (F(k, 8) for k in range(9)):
-                if cs.contains(i, t):
-                    assert cb.contains(i, t)
+                if pieces_contain(cs.pieces[i], t):
+                    assert pieces_contain(cb.pieces[i], t)
 
 
 def test_absorption_on_random_closed_pairs():
@@ -262,8 +267,8 @@ def test_three_lines_bounded_golden_joins():
 def test_three_lines_shared_origin_represented_everywhere():
     g = three_lines_ground()
     origin_on_0 = SubsegmentSet(g, [[Interval.point(F(1, 2))], [], []])
-    assert origin_on_0.contains(1, F(1, 2))
-    assert origin_on_0.contains(2, F(1, 2))
+    assert pieces_contain(origin_on_0.pieces[1], F(1, 2))
+    assert pieces_contain(origin_on_0.pieces[2], F(1, 2))
 
 
 # --- extreme points -----------------------------------------------------------------
