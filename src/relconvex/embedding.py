@@ -364,7 +364,6 @@ def build_ground_set(n: int):
 
 @dataclass
 class EmbeddingWitness:
-    n: int
     construction: Construction
     ground: FiniteGround
     labels: list
@@ -453,4 +452,4 @@ def build_embedding(n: int) -> EmbeddingWitness:
                   "the unrestricted family lattice maps two-to-one onto the "
                   "same traces"),
     }
-    return EmbeddingWitness(n, ctor, ground, labels, source, target, image, report, defect)
+    return EmbeddingWitness(ctor, ground, labels, source, target, image, report, defect)

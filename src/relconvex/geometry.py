@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg, lp
 from .errors import DimensionMismatch, InputError, UnsupportedDimension
-from .intervals import Interval, union_intervals
+from .intervals import Interval, intersect_unions
 
 Point = tuple[Fraction, ...]
 
@@ -32,7 +32,8 @@ def qp(*coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-def _check_dim(pts: Iterable[Point], dim: Optional[int] = None) -> int:
+def _check_dim(pts: Iterable[Point]) -> int:
+    dim = None
     for p in pts:
         if dim is None:
             dim = len(p)
@@ -308,12 +309,6 @@ class VPolytope:
         self.dim_affine = len(self._chart)
         self._faces: Optional[list["Face"]] = None
 
-    def __eq__(self, other):
-        return isinstance(other, VPolytope) and set(self.vertices) == set(other.vertices)
-
-    def __hash__(self):
-        return hash(frozenset(self.vertices))
-
     def __repr__(self):
         return f"VPolytope({len(self.vertices)} vertices, dim {self.dim_affine}/{self.dim_ambient})"
 
@@ -415,14 +410,7 @@ def segment_hull_param_intervals(seg: Segment, gens: MixedGenerators) -> tuple[I
                 pieces.append(Interval.point(lo))
         else:
             pieces.append(Interval(lo, hi, lo_in, hi_in))
-    merged = union_intervals(pieces)
-    out = []
-    dom = seg.domain()
-    for iv in merged:
-        clipped = iv.intersect(dom)
-        if clipped is not None:
-            out.append(clipped)
-    return tuple(out)
+    return intersect_unions(pieces, [seg.domain()])
 
 
 def standard_simplex(n: int) -> VPolytope:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .closure import ClosureTable, FiniteGround
 from .errors import InputError
@@ -220,8 +220,7 @@ def lattice_from_json(data: dict) -> FiniteLattice:
         for i in pair:
             if not 0 <= _int(i, "cover index") < len(labels):
                 raise InputError(f"cover index {i} outside elements 0..{len(labels) - 1}")
-    covers = [(labels[i], labels[j]) for i, j in data["covers"]]
-    return FiniteLattice.from_cover_pairs(labels, covers)
+    return FiniteLattice.from_cover_pairs(labels, data["covers"])
 
 
 def lattice_to_dot(lat: FiniteLattice) -> str:
@@ -251,7 +250,7 @@ def _fixed_decimal(x: Fraction) -> str:
     return f"{sign}{whole}.{frac:03d}"
 
 
-def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None) -> str:
+def points_svg(points: Sequence[Point], labels: Sequence) -> str:
     if any(len(p) != 2 for p in points):
         raise InputError("SVG rendering supports planar points only")
     xs = [p[0] for p in points]
@@ -273,9 +272,8 @@ def points_svg(points: Sequence[Point], labels: Optional[Sequence] = None) -> st
     for i, p in enumerate(points):
         cx, cy = sx(p[0]), sy(p[1])
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
-        if labels is not None:
-            parts.append(f'<text x="{cx}" y="{cy}" dx="6" dy="-6" '
-                         f'font-size="12">{labels[i]}</text>')
+        parts.append(f'<text x="{cx}" y="{cy}" dx="6" dy="-6" '
+                     f'font-size="12">{labels[i]}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -34,9 +34,6 @@ class FiniteLattice:
     def _setup(self, labels: Sequence[Hashable], leq: np.ndarray):
         self.labels = list(labels)
         self.n = len(self.labels)
-        leq = np.asarray(leq, dtype=bool)
-        if leq.shape != (self.n, self.n):
-            raise InputError("leq matrix shape mismatch")
         self.leq = leq
         if not self.n:
             raise NotALatticeError("lattice without elements")
@@ -51,6 +48,8 @@ class FiniteLattice:
         """Lattice of a closure system: elements are bitmasks ordered by
         inclusion, meet is intersection, join is the least closed superset.
         Inclusion of distinct masks is a partial order, so it is not checked."""
+        if len(masks) > MAX_ELEMENTS:
+            raise ResourceLimitError(f"{len(masks)} lattice elements exceed {MAX_ELEMENTS}")
         order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
         if len(set(order)) != len(order):
             raise InputError("duplicate closed sets")
@@ -77,20 +76,18 @@ class FiniteLattice:
 
     @classmethod
     def from_cover_pairs(cls, labels: Sequence[Hashable], covers: Sequence[tuple]) -> "FiniteLattice":
-        """Build from a cover list (lower, upper); order is the reflexive
-        transitive closure.  Each element's up-set is a bitset, its own bit
-        OR the up-sets of its upper covers, filled in one pass in reverse
-        topological order.  That is reflexive and transitive by construction,
+        """Build from a cover list of index pairs (lower, upper); order is
+        the reflexive transitive closure.  Each element's up-set is a bitset,
+        its own bit OR the up-sets of its upper covers, filled in one pass in
+        reverse topological order: reflexive and transitive by construction,
         and antisymmetric once every element is done, as only a cover cycle
         (or what lies below one) stays undone; so no axiom is rechecked."""
         if len(labels) > MAX_ELEMENTS:
             raise ResourceLimitError(f"{len(labels)} lattice elements exceed {MAX_ELEMENTS}")
-        idx = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
         lowers: list[list[int]] = [[] for _ in range(n)]
         pending = [0] * n       # upper covers not yet done
-        for lo, hi in covers:
-            i, j = idx[lo], idx[hi]
+        for i, j in covers:
             if i != j:          # a self-loop adds nothing to a reflexive order
                 lowers[j].append(i)
                 pending[i] += 1
@@ -106,7 +103,7 @@ class FiniteLattice:
         rows = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
         lat = cls.__new__(cls)
         lat._setup(labels, np.unpackbits(rows.reshape(n, width), axis=1, count=n,
-                                         bitorder="little"))
+                                         bitorder="little").view(bool))
         if len(done) < n:       # what is left lies on or below a cover cycle
             raise InputError("order not antisymmetric")
         return lat

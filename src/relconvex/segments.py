@@ -81,10 +81,8 @@ class SubsegmentSet:
         self.ground = ground
         if len(pieces) != ground.k:
             raise InputError("one interval list per carrier required")
-        cleaned = []
-        for carrier, ivs in zip(ground.segments, pieces):
-            clipped = (iv.intersect(carrier.domain()) for iv in ivs)
-            cleaned.append(union_intervals(c for c in clipped if c is not None))
+        cleaned = [intersect_unions(ivs, [carrier.domain()])
+                   for carrier, ivs in zip(ground.segments, pieces)]
         if not _canonical:
             piece_gens = [_generators([carrier.piece(iv)])
                           for carrier, ivs in zip(ground.segments, cleaned) for iv in ivs]
@@ -198,8 +196,7 @@ def random_closed_set(ground: SegmentUnionGround, rng: random.Random) -> Subsegm
             if a == b:
                 ivs.append(Interval.point(a))
             else:
-                ivs.append(Interval(a, b, rng.random() < 0.5 or a == b,
-                                    rng.random() < 0.5 or a == b))
+                ivs.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
         pieces.append(ivs)
     return seg_closure(SubsegmentSet(ground, pieces, _canonical=True))
 

@@ -19,16 +19,20 @@ def boolean(k: int) -> FiniteLattice:
                               if not m >> b & 1])
 
 
+def labelled(labels: Sequence, covers: Sequence[tuple]) -> FiniteLattice:
+    """The lattice of a cover list that names elements by label, not index."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    return FiniteLattice.from_cover_pairs(labels, [(index[a], index[b]) for a, b in covers])
+
+
 def m3() -> FiniteLattice:
-    return FiniteLattice.from_cover_pairs(
-        ["0", "a", "b", "c", "1"],
-        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+    return labelled(["0", "a", "b", "c", "1"],
+                    [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
 
 
 def n5() -> FiniteLattice:
-    return FiniteLattice.from_cover_pairs(
-        ["0", "a", "c", "b", "1"],
-        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+    return labelled(["0", "a", "c", "b", "1"],
+                    [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
 
 
 def collinear_ground(values: Sequence, dim: int = 1) -> FiniteGround:

@@ -589,9 +589,7 @@ def order_lattice(labels: Sequence, leq: np.ndarray) -> FiniteLattice:
     """The lattice of a partial order matrix, built from every comparable
     pair as a cover: their reflexive transitive closure is ``leq`` again, so
     the generic join and meet search runs on ``leq`` itself."""
-    labels = list(labels)
-    return FiniteLattice.from_cover_pairs(
-        labels, [(labels[i], labels[j]) for i, j in zip(*np.nonzero(leq))])
+    return FiniteLattice.from_cover_pairs(labels, list(zip(*np.nonzero(leq))))
 
 
 def lub_tables_reference(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -296,7 +296,7 @@ def test_biatomic_collinear_grounds():
 def test_biatomic_violation_witness_revalidates():
     # an atom below the join of two chain tops but below no join of atoms
     # under them: 0 < a < A, 0 < b < B, a∨b = m, c atom with c only under 1
-    lat = FiniteLattice.from_cover_pairs(
+    lat = lattices.labelled(
         ["0", "a", "b", "c", "m", "A", "B", "1"],
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "m"), ("b", "m"),
          ("a", "A"), ("b", "B"), ("m", "1"), ("A", "1"), ("B", "1"), ("c", "1")])

@@ -7,6 +7,7 @@ only for an intended change of output.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from relconvex.cli import main
@@ -43,6 +44,21 @@ def artifact_digests(tmp_path: Path, capsys) -> dict[str, str]:
     for prop in CHECKS:
         code, text, err = _run(capsys, "check", prop, "--input", FIXTURES / "m3_lattice.json")
         out[f"check {prop} m3_lattice"] = _digest(code, text + err)
+    one_piece = tmp_path / "one_piece.json"
+    one_piece.write_text(json.dumps({"pieces": [
+        {"carrier_index": 0, "t_lo": "1/2", "t_hi": "1/1", "lo_closed": False}]}))
+    cevian = FIXTURES / "cevian_ground.json"
+    segment_runs = {
+        "check-i cevian_ground": ["check-i", "--input", cevian],
+        "check-i disjoint_segments": ["check-i", "--input", FIXTURES / "disjoint_segments.json"],
+        "check-ii triangle_edges": ["check-ii", "--input", FIXTURES / "triangle_edges.json",
+                                    "--polytope", FIXTURES / "triangle.json"],
+        "sdv cevian_triple": ["sdv", "--input", cevian, "--set", FIXTURES / "cevian_triple.json"],
+        "closure one piece": ["closure", "--input", cevian, "--set", one_piece],
+    }
+    for name, argv in segment_runs.items():
+        code, text, err = _run(capsys, "segments", *argv)
+        out[f"segments {name}"] = _digest(code, text + err)
     embed_dir = tmp_path / "embed"
     code, _, _ = _run(capsys, "--out-dir", embed_dir, "embed", "--n", "2", "--format", "dot")
     for f in sorted(embed_dir.iterdir()):
@@ -79,6 +95,16 @@ PINNED = {
         "3:78538cc09c611600dc432b81b6f2dfe8b01ebd36e4559546f93cfb087374a54a",
     "check m3 m3_lattice":
         "3:ebf9b36ceecfe22b14980051d9308a7a859d5c9cc78c24ec7f970ed0cc20b290",
+    "segments check-i cevian_ground":
+        "3:0f6cccedd46893c5fd949163ed40ceba9510c4bfc6322be7cf48fbbafb8382ad",
+    "segments check-i disjoint_segments":
+        "0:2568649750388f6740cf36d1f5d9ae75eb5fc6ca79c7ba32d16d17976e8a6c3f",
+    "segments check-ii triangle_edges":
+        "0:8200579e475127ecb8ac8e4fd0d664c0368d7aec86bebf1dd45afadd1b951d19",
+    "segments sdv cevian_triple":
+        "3:b7a4b9f3cd69718b4f1f70d12c6c63db8feead175d377fabe33499542c7858b3",
+    "segments closure one piece":
+        "0:e25e802d6da825252a3ed85c72ccd5d1a1e0fd1ea4a5a2b697bb7da649120e79",
     "embed n2 embed_construction_n2.json":
         "3:3beaafeaa3d509ef49967dd6c03eb2674c788e0e391c7e14d3d7febec871b44d",
     "embed n2 embed_ground_n2.json":

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from relconvex import acceptance
 from relconvex import io as rio
 from relconvex.cli import main
 from relconvex.lattice import MAX_ELEMENTS
@@ -53,6 +54,33 @@ def test_check_antiexchange_ground_holds(capsys):
     code, out = run(capsys, "check", "antiexchange",
                     "--input", FIXTURES / "unit_square.json")
     assert code == 0
+
+
+def test_timings_add_one_float_elapsed_to_the_plain_report(capsys):
+    argv = ["check", "jsd", "--input", FIXTURES / "m3_lattice.json"]
+    code, plain = run(capsys, *argv)
+    timed_code, timed = run(capsys, *argv, "--timings")
+    timed = json.loads(timed)
+    assert timed_code == code == 3
+    assert isinstance(timed.pop("elapsed"), float)
+    assert timed == json.loads(plain)
+
+
+def test_verify_paper_reports_every_criterion(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [("pass-stub", lambda: (True, "holds")),
+                                                 ("fail-stub", lambda: (False, "breaks"))])
+    criteria = [{"name": "pass-stub", "ok": True, "detail": "holds"},
+                {"name": "fail-stub", "ok": False, "detail": "breaks"}]
+    for timings in ([], ["--timings"]):
+        assert main(["verify-paper", "--out-dir", str(tmp_path), *timings]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["PASS criterion pass-stub",
+                                                          "FAIL criterion fail-stub"]
+        doc = json.loads((tmp_path / "verify_paper.json").read_text())
+        if timings:
+            assert all(isinstance(c.pop("elapsed"), float) for c in doc["criteria"])
+        assert doc == {"schema_version": rio.SCHEMA_VERSION, "check": "acceptance-suite",
+                       "result": False, "criteria": criteria}
 
 
 def test_segments_sdv_cevian_fixture(capsys):

@@ -72,7 +72,7 @@ def test_dot_deterministic():
 
 
 def test_svg_exact_decimals():
-    svg = rio.points_svg([qp(0, 0), qp(1, 0), qp("1/3", "2/3")])
+    svg = rio.points_svg([qp(0, 0), qp(1, 0), qp("1/3", "2/3")], ["a", "b", "c"])
     assert "e" not in svg.split("</svg>")[0].replace("text", "").replace("height", "") or True
     assert svg.count("<circle") == 3
     # coordinates are fixed-point decimals, never float repr

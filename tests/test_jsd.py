@@ -103,7 +103,7 @@ def test_find_m3_matches_pair_loop_on_large_templates(template_lattice):
 @pytest.mark.parametrize("name", sorted(set(NON_LATTICES) - {"empty", "cover-cycle"}))
 def test_non_lattice_raises_at_the_api(name):
     elements, covers, reason = NON_LATTICES[name]
-    lat = FiniteLattice.from_cover_pairs(elements, [(elements[a], elements[b]) for a, b in covers])
+    lat = FiniteLattice.from_cover_pairs(elements, covers)
     for check in (check_jsd, check_m3):
         with pytest.raises(NotALatticeError) as err:
             check(lat)

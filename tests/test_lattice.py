@@ -19,7 +19,7 @@ from oracles import (
     order_lattice,
 )
 from relconvex import lattice as lattice_module
-from relconvex.errors import InputError
+from relconvex.errors import InputError, ResourceLimitError
 from relconvex.lattice import FiniteLattice, NotALatticeError
 from test_closure import random_ground
 from test_jsd import intersection_closed_family
@@ -72,7 +72,7 @@ def test_shuffled_cover_pairs_match_both_references(seed, blocks):
         random_ground(rng, rng.randint(4, 8), dim=1 + seed % 3).enumerate_closed_masks())
     masks = list(closed.labels)
     rng.shuffle(masks)
-    lat = FiniteLattice.from_cover_pairs(
+    lat = lattices.labelled(
         masks, [(closed.labels[i], closed.labels[j]) for i, j in closed.cover_pairs()])
     assert np.tril(lat.leq, -1).any()
     assert_mask_reference(lat, masks)
@@ -124,7 +124,7 @@ def test_cover_pairs_order_matches_warshall():
         n = rng.randint(1, 24)
         covers = random_covers(rng, n)
         labels = [f"e{i}" for i in range(n)]
-        lat = FiniteLattice.from_cover_pairs(labels, [(labels[i], labels[j]) for i, j in covers])
+        lat = FiniteLattice.from_cover_pairs(labels, covers)
         assert (lat.leq == cover_order_reference(n, covers)).all()
 
 
@@ -248,6 +248,17 @@ def test_duplicate_labels_rejected():
         FiniteLattice.from_cover_pairs(["a", "a"], [])
     with pytest.raises(InputError, match="duplicate closed sets"):
         FiniteLattice.from_closed_masks([0, 1, 1])
+
+
+def test_closed_masks_past_the_element_bound_raise_before_any_table(monkeypatch):
+    # every subset of 13 points: a closure system with twice the bound of
+    # closed sets, refused as a cover list of that size is, with numpy gone
+    # so that no n x n table can be built first
+    size = 2 * lattice_module.MAX_ELEMENTS
+    monkeypatch.setattr(lattice_module, "np", None)
+    with pytest.raises(ResourceLimitError,
+                       match=f"^{size} lattice elements exceed {lattice_module.MAX_ELEMENTS}$"):
+        FiniteLattice.from_closed_masks(list(range(size)))
 
 
 def test_no_constructor_takes_an_unchecked_order():
