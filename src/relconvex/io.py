@@ -4,10 +4,11 @@ Hasse diagrams as DOT, and planar point configurations as SVG.
 All emitters sort keys and sequences so identical inputs give byte-identical
 artifacts.  SVG coordinates are fixed-point decimal strings computed with
 integer arithmetic only.  ``dumps`` writes the bytes of
-``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, but joins each
-list of plain ints (the rows of the join and meet tables) in one step instead
-of running json's pure-Python indent encoder value by value, reading each
-entry's decimal text from a lookup of 0..n-1, n the longest list met.
+``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, with an
+``np.ndarray`` written as its ``.tolist()``, but joins each list of plain
+ints in one step instead of running json's pure-Python indent encoder value
+by value, and writes a lattice's join and meet tables, kept as its int32
+arrays, by one lookup of their cells' texts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import functools
 import json
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .closure import ClosureTable, FiniteGround
 from .errors import InputError
@@ -194,6 +197,8 @@ def _element_to_json(label) -> object:
 
 
 def lattice_to_json(lat: FiniteLattice, include_tables: bool = False) -> dict:
+    """The lattice document; its tables are the lattice's own int32 arrays,
+    so a ``json.dumps`` caller passes ``default=np.ndarray.tolist``."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "type": "lattice",
@@ -204,8 +209,8 @@ def lattice_to_json(lat: FiniteLattice, include_tables: bool = False) -> dict:
         "join_irreducibles": sorted(lat.join_irreducibles()),
     }
     if include_tables:
-        out["join_table"] = lat.join_table.tolist()
-        out["meet_table"] = lat.meet_table.tolist()
+        out["join_table"] = lat.join_table
+        out["meet_table"] = lat.meet_table
     return out
 
 
@@ -287,21 +292,23 @@ _INT = {int}
 
 
 def dumps(data: dict) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    where an ``np.ndarray`` is written as json writes its ``.tolist()``.
 
     With an indent, json writes through its pure-Python encoder, one
-    generator step per value.  Here a list of plain ints (a row of a join or
-    meet table, a cover pair, the members of an element) is one join of
-    decimals from a lookup of 0..n-1, n the longest list met so far in data,
-    since the ints of a document are mostly indices into its lists; or of
-    ``int.__repr__`` if one lies outside the lookup.
+    generator step per value.  Here a list of plain ints (a cover pair, the
+    members of an element) is one join of ``int.__repr__``, and a 2-D
+    integer array (a join or meet table) one join of its cells' texts,
+    looked up by entry.  Each dict's text, and so the whole document, is one
+    join of its parts, so the text of a large document is held at most twice.
     """
-    return _emit(data, "\n", set(), {}) + "\n"
+    parts = _dict_parts(data, "\n", set()) if isinstance(data, dict) else [_emit(data, "\n", set())]
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _emit(o, nl: str, open_ids: set, decimal: dict) -> str:
-    """o as indented JSON; nl is a newline plus the indent of o's own line;
-    decimal maps 0..n-1 to their text (a dict, so a negative int misses)."""
+def _emit(o, nl: str, open_ids: set) -> str:
+    """o as indented JSON; nl is a newline plus the indent of o's own line."""
     if isinstance(o, str):
         return _encode_str(o)
     if o is None:
@@ -315,29 +322,54 @@ def _emit(o, nl: str, open_ids: set, decimal: dict) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if len(o) > len(decimal):
-            decimal.update({i: str(i) for i in range(len(decimal), len(o))})
         inner = nl + "  "
         sep = "," + inner
         if set(map(type, o)) == _INT:
-            try:
-                body = sep.join(map(decimal.__getitem__, o))
-            except KeyError:    # an entry outside the lookup: the whole row by repr
-                body = sep.join(map(int.__repr__, o))
+            body = sep.join(map(int.__repr__, o))
         else:
             _enter(o, open_ids)
-            body = sep.join([_emit(v, inner, open_ids, decimal) for v in o])
+            body = sep.join([_emit(v, inner, open_ids) for v in o])
             open_ids.remove(id(o))
         return "[" + inner + body + nl + "]"
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        _enter(o, open_ids)
-        body = [_key(k) + ": " + _emit(v, inner, open_ids, decimal) for k, v in sorted(o.items())]
-        open_ids.remove(id(o))
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
+        return "".join(_dict_parts(o, nl, open_ids))
+    if isinstance(o, np.ndarray):
+        return _array(o, nl, open_ids)
     return _encode_scalar(o)
+
+
+def _dict_parts(o: dict, nl: str, open_ids: set) -> list[str]:
+    """The texts whose join is o as indented JSON."""
+    if not o:
+        return ["{}"]
+    inner = nl + "  "
+    _enter(o, open_ids)
+    parts = ["{"]
+    for k, v in sorted(o.items()):
+        parts += (inner, _key(k), ": ", _emit(v, inner, open_ids), ",")
+    open_ids.remove(id(o))
+    parts[-1] = nl + "}"
+    return parts
+
+
+def _array(a: np.ndarray, nl: str, open_ids: set) -> str:
+    """a as json writes a.tolist().  A nonempty 2-D integer array with every
+    entry in 0..a.size-1 (a join or meet table) is one join of a text per
+    cell, looked up by entry, that carries the separator and indent before
+    it, or for a row's first cell the close of the row before and the open
+    of its own; the bound keeps the lookup no longer than a itself."""
+    if not (a.ndim == 2 and a.size and np.issubdtype(a.dtype, np.integer)
+            and a.min() >= 0 and a.max() < a.size):
+        return _emit(a.tolist(), nl, open_ids)
+    inner = nl + "  "
+    inner2 = inner + "  "
+    values = range(int(a.max()) + 1)
+    cells = np.array(["," + inner2 + str(v) for v in values], dtype=object)[a]
+    cells[:, 0] = np.array([inner + "]," + inner + "[" + inner2 + str(v) for v in values],
+                           dtype=object)[a[:, 0]]
+    cells[0, 0] = "[" + inner + "[" + inner2 + str(a[0, 0])
+    cells[-1, -1] += inner + "]" + nl + "]"
+    return "".join(cells.ravel().tolist())
 
 
 def _enter(o, open_ids: set) -> None:
@@ -351,5 +383,5 @@ def _key(k) -> str:
     if isinstance(k, str):
         return _encode_str(k)
     if k is None or isinstance(k, (int, float)):
-        return '"' + _emit(k, "", set(), {}) + '"'
+        return '"' + _emit(k, "", set()) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")

@@ -838,8 +838,9 @@ def map_defects_reference(source: FiniteLattice, target: FiniteLattice,
     return defects
 
 
-def dumps_reference(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def dumps_reference(data: dict, default=None) -> str:
+    """json's own text; default=np.ndarray.tolist lets it read arrays."""
+    return json.dumps(data, indent=2, sort_keys=True, default=default) + "\n"
 
 
 def anti_exchange_reference(operator, closed: Optional[Sequence[int]] = None

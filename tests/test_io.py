@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lattices
@@ -153,6 +154,8 @@ json_values = st.recursive(scalars | flat_ints | flat_ints.map(tuple), container
 
 @settings(max_examples=400, deadline=None)
 @given(json_values)
+@example(None)      # dumps' own newline after a top-level scalar
+@example([])
 def test_dumps_matches_json(value):
     assert rio.dumps(value) == dumps_reference(value)
 
@@ -167,10 +170,8 @@ def test_dumps_matches_json_on_deep_nesting():
     assert rio.dumps(doc) == dumps_reference(doc)
 
 
-# dumps reads the text of 0..n-1 from a lookup as long as the longest list
-# met so far in the document, and writes any row with an entry outside it by
-# int.__repr__.  Each case comes after a row of N indices in its document, so
-# the lookup holds 0..N-1; N lies above the largest table of the benchmark.
+# Flat int rows around N, with negatives, huge ints and bools mixed in, each
+# also after a row of N indices; N lies above the largest lattice's size.
 N = 5000
 LOOKUP_EDGES = {
     "around-N": [-1, 0, N - 1, N, N + 1, 10**20],
@@ -194,13 +195,40 @@ def test_dumps_lookup_edges_match_json(name):
         assert rio.dumps(doc) == dumps_reference(doc)
 
 
-def test_dumps_lookup_grows_to_the_longest_list():
-    decimal = {}
-    covers = [[0, 1]] * 7       # a list of pairs grows it, before its pairs
-    doc = {"a": [6, 2], "b": covers, "c": [7, 6], "d": list(range(9))[::-1]}
-    text = rio._emit(doc, "\n", set(), decimal)
-    assert text + "\n" == dumps_reference(doc)
-    assert decimal == {i: repr(i) for i in range(9)}
+# dumps writes a nonempty 2-D integer array with every entry in 0..size-1 by
+# a lookup of its cells' texts, and any other array as its .tolist()
+INT_DTYPES = [f"{kind}{bits}" for kind in ("int", "uint") for bits in (8, 16, 32, 64)]
+ARRAY_SHAPES = (st.sampled_from([(0, 0), (0, 3), (3, 0), (0,)])
+                | st.tuples(st.integers(1, 6), st.integers(1, 6))
+                | st.tuples(st.integers(1, 6))
+                | st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+
+
+@st.composite
+def ndarrays(draw):
+    shape = draw(ARRAY_SHAPES)
+    size = math.prod(shape)
+    values = draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=size, max_size=size))
+    kind = draw(st.sampled_from(INT_DTYPES + ["bool", "float"]))
+    if kind == "bool":
+        return np.array(values, dtype=bool).reshape(shape)
+    if kind == "float":
+        return (np.array(values, dtype=float) / 2).reshape(shape)
+    info = np.iinfo(kind)
+    if size and draw(st.booleans()):    # one entry off the lookup
+        edges = [v for v in (-1, size, info.min, info.max, -2**63, 2**63 - 1)
+                 if info.min <= v <= info.max]
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(edges))
+    return np.array(values, dtype=kind).reshape(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ndarrays(), st.lists(st.booleans(), max_size=3))
+def test_dumps_matches_json_on_arrays(array, in_dicts):
+    doc = array
+    for in_dict in in_dicts:
+        doc = {"t": doc, "a": 1} if in_dict else [doc, 0]
+    assert rio.dumps(doc) == dumps_reference(doc, default=np.ndarray.tolist)
 
 
 LIST_CYCLE = [1]
@@ -240,4 +268,14 @@ def test_build_tables_matches_json_on_large_templates(tmp_path, capsys, index):
     out = capsys.readouterr().out
     lat = rio.ground_from_json(ground).lattice()
     assert lat.n == template["closed_sets"]
-    assert out == dumps_reference(rio.lattice_to_json(lat, include_tables=True))
+    doc = rio.lattice_to_json(lat, include_tables=True)
+    assert out == dumps_reference(doc, default=np.ndarray.tolist)
+
+
+def test_build_tables_reads_back_as_the_lattice_tables(capsys):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "unit_square.json"
+    assert main(["build", "--input", str(path), "--tables"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    lat = rio.ground_from_json(json.loads(path.read_text())).lattice()
+    assert doc["join_table"] == lat.join_table.tolist()
+    assert doc["meet_table"] == lat.meet_table.tolist()
